@@ -53,7 +53,7 @@ NoiseAnalysis::NoiseAnalysis(trace::EventSource& source, AnalysisOptions options
 }
 
 void NoiseAnalysis::run_pipeline() {
-  intervals_ = build_intervals(*model_, pool_.get());
+  intervals_ = build_intervals(*model_, pool_.get(), options_.cpu_subset);
   for (const CommWindow& w : intervals_.comm) comm_by_task_[w.task].push_back(w);
   for (auto& [pid, windows] : comm_by_task_)
     std::sort(windows.begin(), windows.end(),

@@ -50,6 +50,9 @@ struct AnalysisOptions {
   /// value produces bit-identical results: shards merge deterministically
   /// and all reductions are exact integer arithmetic.
   std::size_t jobs = 1;
+  /// The model holds a subset of the node's CPUs (set by the planner's cpu
+  /// predicate): a task window re-opened there restarts (see IntervalBuilder).
+  bool cpu_subset = false;
 };
 
 /// Per-activity statistics in the units of the paper's tables.

@@ -6,6 +6,28 @@
 
 namespace osn::noise {
 
+namespace {
+
+/// Spreads an interval's charged time uniformly over [start, end), clipped to
+/// the quantum grid [origin, grid_end): add(quantum index, piece) per quantum
+/// touched.
+template <class Add>
+void split_over_quanta(const Interval& iv, DurNs charged, TimeNs origin, DurNs quantum,
+                       TimeNs grid_end, Add&& add) {
+  const DurNs span = std::max<DurNs>(iv.inclusive, 1);
+  TimeNs lo = std::max(iv.start, origin);
+  const TimeNs hi = std::min(iv.end, grid_end);
+  while (lo < hi) {
+    const std::size_t qi = static_cast<std::size_t>((lo - origin) / quantum);
+    const TimeNs piece_end = std::min(hi, origin + static_cast<TimeNs>(qi + 1) * quantum);
+    add(qi, static_cast<DurNs>(static_cast<double>(charged) *
+                               (static_cast<double>(piece_end - lo) / static_cast<double>(span))));
+    lo = piece_end;
+  }
+}
+
+}  // namespace
+
 std::vector<double> SyntheticChart::totals() const {
   std::vector<double> out;
   out.reserve(quanta.size());
@@ -29,24 +51,11 @@ SyntheticChart build_chart(const NoiseAnalysis& analysis, Pid task, TimeNs origi
     if (iv.end <= origin || iv.start >= chart_end) continue;
     const DurNs charged = analysis.charged(iv);
     if (charged == 0) continue;
-    // Distribute the charged time uniformly over [start, end) and clip to
-    // the quantum grid.
-    const DurNs span = std::max<DurNs>(iv.inclusive, 1);
-    TimeNs lo = std::max(iv.start, origin);
-    const TimeNs hi = std::min(iv.end, chart_end);
-    while (lo < hi) {
-      const std::size_t qi = static_cast<std::size_t>((lo - origin) / quantum);
-      const TimeNs q_end = chart.quanta[qi].start + quantum;
-      const TimeNs piece_end = std::min(hi, q_end);
-      const auto piece =
-          static_cast<DurNs>(static_cast<double>(charged) *
-                             (static_cast<double>(piece_end - lo) / static_cast<double>(span)));
-      if (piece > 0) {
-        chart.quanta[qi].total += piece;
-        chart.quanta[qi].components.push_back(ChartComponent{iv.kind, iv.detail, piece});
-      }
-      lo = piece_end;
-    }
+    split_over_quanta(iv, charged, origin, quantum, chart_end, [&](std::size_t qi, DurNs piece) {
+      if (piece == 0) return;
+      chart.quanta[qi].total += piece;
+      chart.quanta[qi].components.push_back(ChartComponent{iv.kind, iv.detail, piece});
+    });
   }
   return chart;
 }
@@ -67,22 +76,9 @@ ActivitySeries build_activity_series(const NoiseAnalysis& analysis, ActivityKind
     if (iv.end <= origin || iv.start >= series_end) continue;
     const DurNs charged = analysis.charged(iv);
     if (charged == 0) continue;
-    // Same proportional split as build_chart: charged time distributed
-    // uniformly over [start, end) and clipped to the quantum grid.
-    const DurNs span = std::max<DurNs>(iv.inclusive, 1);
-    TimeNs lo = std::max(iv.start, origin);
-    const TimeNs hi = std::min(iv.end, series_end);
-    series.counts[static_cast<std::size_t>((lo - origin) / quantum)] += 1;
-    while (lo < hi) {
-      const std::size_t qi = static_cast<std::size_t>((lo - origin) / quantum);
-      const TimeNs q_end = origin + static_cast<TimeNs>(qi + 1) * quantum;
-      const TimeNs piece_end = std::min(hi, q_end);
-      const auto piece =
-          static_cast<DurNs>(static_cast<double>(charged) *
-                             (static_cast<double>(piece_end - lo) / static_cast<double>(span)));
-      series.totals[qi] += piece;
-      lo = piece_end;
-    }
+    series.counts[static_cast<std::size_t>((std::max(iv.start, origin) - origin) / quantum)] += 1;
+    split_over_quanta(iv, charged, origin, quantum, series_end,
+                      [&](std::size_t qi, DurNs piece) { series.totals[qi] += piece; });
   }
   return series;
 }
@@ -116,12 +112,7 @@ std::vector<Interruption> group_interruptions(const NoiseAnalysis& analysis, Pid
       cur.parts.push_back(iv);
       continue;
     }
-    Interruption in;
-    in.start = iv.start;
-    in.end = iv.end;
-    in.total = analysis.charged(iv);
-    in.parts.push_back(iv);
-    out.push_back(std::move(in));
+    out.push_back(Interruption{iv.start, iv.end, analysis.charged(iv), {iv}});
   }
   return out;
 }

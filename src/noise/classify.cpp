@@ -1,5 +1,7 @@
 #include "noise/classify.hpp"
 
+#include <iterator>
+
 #include "common/assert.hpp"
 
 namespace osn::noise {
@@ -31,16 +33,11 @@ NoiseCategory categorize(ActivityKind kind) {
 }
 
 std::string_view category_name(NoiseCategory c) {
-  switch (c) {
-    case NoiseCategory::kPeriodic: return "periodic";
-    case NoiseCategory::kPageFault: return "page fault";
-    case NoiseCategory::kScheduling: return "scheduling";
-    case NoiseCategory::kPreemption: return "preemption";
-    case NoiseCategory::kIo: return "I/O";
-    case NoiseCategory::kRequestedService: return "requested service";
-    case NoiseCategory::kMaxCategory: break;
-  }
-  return "unknown";
+  static constexpr std::string_view kNames[] = {"periodic",   "page fault", "scheduling",
+                                                "preemption", "I/O",        "requested service"};
+  static_assert(std::size(kNames) == static_cast<std::size_t>(NoiseCategory::kMaxCategory));
+  const auto i = static_cast<std::size_t>(c);
+  return i < std::size(kNames) ? kNames[i] : "unknown";
 }
 
 }  // namespace osn::noise

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 
 namespace osn::noise {
 
@@ -17,7 +18,7 @@ std::vector<LookalikePair> find_lookalikes(const std::vector<Interruption>& inte
                                            double tolerance, std::size_t max_pairs) {
   // Sort indices by total duration; lookalikes are neighbours in that order.
   std::vector<std::size_t> order(interruptions.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::iota(order.begin(), order.end(), std::size_t{0});
   std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
     return interruptions[a].total < interruptions[b].total;
   });
@@ -44,14 +45,10 @@ std::vector<CompositeQuantum> find_composite_quanta(
     const SyntheticChart& chart, const std::vector<Interruption>& interruptions,
     DurNs min_separation) {
   std::vector<CompositeQuantum> out;
-  const TimeNs chart_end =
-      chart.origin + static_cast<TimeNs>(chart.quanta.size()) * chart.quantum;
-
   std::size_t cursor = 0;
   for (std::size_t qi = 0; qi < chart.quanta.size(); ++qi) {
     const TimeNs q_start = chart.quanta[qi].start;
     const TimeNs q_end = q_start + chart.quantum;
-    (void)chart_end;
 
     CompositeQuantum cq;
     cq.quantum_index = qi;

@@ -1,165 +1,81 @@
 #include "noise/index_aggregate.hpp"
 
-#include "trace/schema.hpp"
-
 namespace osn::noise {
 
-using trace::EventType;
-
 void IndexAggregator::on_record(const tracebuf::EventRecord& rec) {
-  if (dirty_) return;
-  ++cpu_events_[rec.cpu];
-
-  const auto type = static_cast<EventType>(rec.event);
-  if (trace::is_entry(type)) {
-    const auto kind = try_activity_of(type, rec.arg);
-    if (!kind) {
-      dirty_ = true;
-      return;
-    }
-    if (rec.cpu >= stacks_.size()) stacks_.resize(rec.cpu + std::size_t{1});
-    Frame frame;
-    frame.kind = *kind;
-    frame.task = rec.pid;
-    frame.start = rec.timestamp;
-    frame.in_comm_at_entry = states_[rec.pid].in_comm;
-    stacks_[rec.cpu].push_back(frame);
-  } else if (trace::is_exit(type)) {
-    close_kernel(rec.cpu, rec);
-  } else if (type == EventType::kSchedSwitch) {
-    const trace::SwitchArg sw = trace::unpack_switch(rec.arg);
-    // The analyzer only derives preemption for application tasks, but the
-    // task table is unknown until finish() — track every task and let the
-    // reader sum the application subset (the machines are per-task
-    // independent, so the extra state cannot perturb application results).
-    if (sw.prev != kIdlePid && sw.prev_runnable) {
-      TaskState& st = states_[sw.prev];
-      if (st.preempted) {
-        dirty_ = true;  // nested preemption: the analyzer would abort here
-        return;
-      }
-      st.preempted = true;
-      st.pre_start = rec.timestamp;
-      st.pre_in_comm = st.in_comm;
-    }
-    if (sw.next != kIdlePid) {
-      TaskState& st = states_[sw.next];
-      if (st.preempted) close_preemption(sw.next, st, rec.timestamp);
-    }
-  } else if (type == EventType::kAppMark) {
-    const auto mark = static_cast<trace::AppMark>(rec.arg);
-    TaskState& st = states_[rec.pid];
-    if (mark == trace::AppMark::kBarrierEnter) {
-      // build_intervals moves comm_start forward on a re-enter, so intervals
-      // between the two enters qualify as noise there but a streaming
-      // in_comm flag would have excluded them — not representable exactly,
-      // so veto rather than emit wrong numbers.
-      if (st.in_comm) {
-        dirty_ = true;
-        return;
-      }
-      st.in_comm = true;
-    } else if (mark == trace::AppMark::kBarrierExit) {
-      st.in_comm = false;
-    }
+  if (builder_.anomaly()) return;
+  auto& cpu = cpu_events_[rec.cpu];
+  cpu = {rec.cpu, cpu.count + 1};
+  switch (builder_.feed(rec)) {
+    case IntervalBuilder::Step::kKernel:
+      add_kernel(builder_.closed(), builder_.closed_in_comm());
+      break;
+    case IntervalBuilder::Step::kPreemption:
+      add_preemption(builder_.closed(), builder_.closed_in_comm(), /*notify=*/true);
+      break;
+    default: break;
   }
 }
 
-void IndexAggregator::close_kernel(std::uint16_t cpu, const tracebuf::EventRecord& rec) {
-  const auto type = static_cast<EventType>(rec.event);
-  if (cpu >= stacks_.size() || stacks_[cpu].empty()) {
-    dirty_ = true;  // exit without entry
-    return;
-  }
-  const auto kind = try_activity_of(trace::entry_of(type), rec.arg);
-  Frame frame = stacks_[cpu].back();
-  stacks_[cpu].pop_back();
-  if (!kind || *kind != frame.kind || rec.timestamp < frame.start) {
-    dirty_ = true;  // mismatched exit, or time ran backwards
-    return;
-  }
-  const DurNs inclusive = rec.timestamp - frame.start;
-  const DurNs self = sat_sub(inclusive, frame.child_time);
-  if (!stacks_[cpu].empty()) stacks_[cpu].back().child_time += inclusive;
-
-  classes_[static_cast<std::uint64_t>(frame.kind)].add(self);
-  const NoiseCategory cat = categorize(frame.kind);
-  if (cat != NoiseCategory::kRequestedService && !frame.in_comm_at_entry) {
-    auto& [count, sum] = noise_[{frame.task, static_cast<std::uint64_t>(cat)}];
-    ++count;
-    sum += self;
-    if (observer_) observer_(frame.task, cat, rec.timestamp, self);
+void IndexAggregator::add_kernel(const Interval& iv, bool in_comm) {
+  const auto cls = static_cast<std::uint64_t>(iv.kind);
+  auto& klass = classes_[cls];
+  klass.cls = cls;
+  klass.acc.add(iv.self);
+  const NoiseCategory cat = categorize(iv.kind);
+  if (cat != NoiseCategory::kRequestedService && !in_comm) {
+    auto& noise = noise_[{iv.task, static_cast<std::uint64_t>(cat)}];
+    noise = {iv.task, static_cast<std::uint64_t>(cat), noise.count + 1, noise.sum + iv.self};
+    if (observer_) observer_(iv.task, cat, iv.end, iv.self);
   }
 }
 
-void IndexAggregator::close_preemption(Pid task, TaskState& st, TimeNs end, bool notify) {
-  // Unsigned difference, matching build_intervals exactly (including the
-  // wrap if a hostile stream puts end before start — both paths agree).
-  const DurNs dur = end - st.pre_start;
-  PreAccum& p = preempt_[task];
-  p.acc.add(dur);
-  if (!st.pre_in_comm) {
+void IndexAggregator::add_preemption(const Interval& iv, bool in_comm, bool notify) {
+  auto& p = preempt_[iv.task];
+  p.task = iv.task;
+  p.acc.add(iv.inclusive);
+  if (!in_comm) {
     ++p.cex_count;
-    p.cex_sum += dur;
-    if (notify && observer_) observer_(task, NoiseCategory::kPreemption, end, dur);
+    p.cex_sum += iv.inclusive;
+    if (notify && observer_) observer_(iv.task, NoiseCategory::kPreemption, iv.end, iv.inclusive);
   }
-  st.preempted = false;
 }
 
-bool IndexAggregator::stacks_empty() const {
-  for (const auto& stack : stacks_)
-    if (!stack.empty()) return false;
-  return true;
+namespace {
+
+/// Moves a keyed accumulator map's values, in key order, into a drained list.
+template <class Map, class Vec>
+void drain_into(Map& from, Vec& to) {
+  to.reserve(from.size());
+  for (const auto& entry : from) to.push_back(entry.second);
+  from.clear();
 }
 
-bool IndexAggregator::quiescent() const {
-  if (dirty_ || !stacks_empty()) return false;
-  for (const auto& [task, st] : states_)
-    if (st.preempted || st.in_comm) return false;
-  return true;
-}
-
-trace::ChunkAggregate IndexAggregator::drain() {
-  trace::ChunkAggregate out;
-  out.classes.reserve(classes_.size());
-  for (const auto& [cls, acc] : classes_)
-    out.classes.push_back(trace::ChunkAggregate::ClassAccum{cls, acc});
-  classes_.clear();
-  out.preempt.reserve(preempt_.size());
-  for (const auto& [task, p] : preempt_)
-    out.preempt.push_back(
-        trace::ChunkAggregate::PreAccum{task, p.acc, p.cex_count, p.cex_sum});
-  preempt_.clear();
-  out.noise.reserve(noise_.size());
-  for (const auto& [key, val] : noise_)
-    out.noise.push_back(
-        trace::ChunkAggregate::NoiseAccum{key.first, key.second, val.first, val.second});
-  noise_.clear();
-  out.cpu_events.reserve(cpu_events_.size());
-  for (const auto& [cpu, count] : cpu_events_)
-    out.cpu_events.push_back(trace::ChunkAggregate::CpuCount{cpu, count});
-  cpu_events_.clear();
-  return out;
-}
+}  // namespace
 
 trace::ChunkAggregate IndexAggregator::take_chunk() {
   // Open intervals carry over: an interval is attributed to the chunk where
   // it closes, which keeps whole-file merges exact.
-  return drain();
+  trace::ChunkAggregate out;
+  drain_into(classes_, out.classes);
+  drain_into(preempt_, out.preempt);
+  drain_into(noise_, out.noise);
+  drain_into(cpu_events_, out.cpu_events);
+  return out;
 }
 
 std::optional<trace::ChunkAggregate> IndexAggregator::take_tail(const trace::TraceMeta& meta) {
-  if (dirty_ || poisoned_) return std::nullopt;
-  for (const auto& stack : stacks_) {
-    if (!stack.empty()) return std::nullopt;  // unclosed kernel interval
-  }
+  if (builder_.anomaly() || poisoned_) return std::nullopt;
   // A task still preempted when tracing stopped contributes the observed
   // portion, closed at the trace end like build_intervals does. These are
   // storage bookkeeping, not live observations — the observer stays silent.
-  for (auto& [task, st] : states_) {
-    if (st.preempted) close_preemption(task, st, meta.end_ns, /*notify=*/false);
-  }
-  return drain();
+  // An entry still open vetoes the block.
+  builder_.finish(meta.end_ns, [this](IntervalBuilder::Step step) {
+    if (step == IntervalBuilder::Step::kPreemption)
+      add_preemption(builder_.closed(), builder_.closed_in_comm(), /*notify=*/false);
+  });
+  if (builder_.anomaly()) return std::nullopt;
+  return take_chunk();
 }
 
 }  // namespace osn::noise

@@ -1,39 +1,30 @@
 // Write-time builder of the OSNT v3 index-resident pre-aggregates.
 //
-// IndexAggregator is the noise layer's implementation of
-// trace::ChunkAggregator: it runs the same state machines as the offline
-// analyzer (kernel entry/exit pairing with self-time resolution, per-task
-// preemption derivation, communication-window tracking — interval.cpp), but
-// streaming, while OsntStreamWriter appends records. At each chunk flush it
-// emits exact integer accumulators for the intervals that CLOSED in that
-// chunk; finish() adds a tail blob for intervals only closed by
-// end-of-trace. The exporter's index-only summary path (index_summary.hpp)
-// merges these blobs back into byte-identical summary output under the
-// default AnalysisOptions — that equivalence is this class's contract, and
-// the property tests in tests/test_index_summary.cpp keep it binding.
+// IndexAggregator is the noise layer's trace::ChunkAggregator: it drives the
+// same IntervalBuilder as the offline analyzer (interval.hpp) while
+// OsntStreamWriter appends records. At each chunk flush it emits exact
+// integer accumulators for the intervals that CLOSED in that chunk;
+// finish() adds a tail blob for intervals only closed by end-of-trace. The
+// exporter's index-only summary (index_summary.hpp) merges these blobs into
+// output byte-identical to record decode under the default AnalysisOptions —
+// the contract tests/test_index_summary.cpp keeps binding.
 //
-// Attribution note: intervals land in the chunk where they close, not where
-// they start, so whole-file merges are exact while partial-chunk windows are
-// not — which is why readers only take the index-only path for queries
-// covering the full trace span.
+// Intervals land in the chunk where they close, so whole-file merges are
+// exact but partial-chunk windows are not: readers take the index-only path
+// only for full-span queries. The task table is unknown until finish(), so
+// preemption and noise accumulators are kept per task and the reader sums
+// the application subset.
 //
-// Application filtering happens at READ time: the task table is unknown
-// until finish(), so preemption and noise accumulators are kept per task and
-// the reader sums the application subset.
-//
-// The aggregator never aborts on a malformed stream (unmapped entry events,
-// unpaired exits, nested preemption of one task, unbalanced barrier marks):
-// it marks itself dirty and vetoes the whole block via take_tail() — the
-// trace file is still written, readers just fall back to record decode.
-// Exactness assumes per-CPU strictly monotone timestamps (the stream
-// writer's own append contract).
+// A malformed stream never aborts: the builder's first IntervalAnomaly stops
+// accumulation and take_tail() vetoes the block — the file is still written,
+// and record decode reports the same anomaly. Exactness assumes per-CPU
+// monotone timestamps (the stream writer's append contract).
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <optional>
-#include <vector>
 
 #include "common/types.hpp"
 #include "noise/classify.hpp"
@@ -59,70 +50,45 @@ class IndexAggregator final : public trace::ChunkAggregator {
 
   void set_observer(NoiseObserver observer) { observer_ = std::move(observer); }
 
-  /// True once the stream violated the analyzer's model; take_tail() will
-  /// veto. Exposed for tests and writer diagnostics.
-  bool dirty() const { return dirty_; }
+  /// Set once the stream violated the analyzer's model (take_tail() then
+  /// vetoes); an entry still open at take_tail() is reported here too.
+  const std::optional<IntervalAnomaly>& anomaly() const { return builder_.anomaly(); }
 
   /// External veto: take_tail() will return nullopt even though the stream
   /// itself is well-formed. The segment store poisons aggregators of
   /// segments cut at non-quiescent boundaries — their per-segment totals
   /// would be self-consistent but would NOT merge to the uncut trace's, and
   /// absence of the block is how downstream merge paths learn to fall back.
-  /// Unlike dirty(), poisoning does not stop accumulation, so rotation
+  /// Unlike an anomaly, poisoning does not stop accumulation, so rotation
   /// gating via quiescent() keeps working.
   void poison() { poisoned_ = true; }
 
   /// No kernel interval open on any CPU. Weaker than quiescent(): a
   /// preempted or in-comm task may still span this point.
-  bool stacks_empty() const;
+  bool stacks_empty() const { return builder_.open_frames() == 0; }
 
   /// The stream is at an interval-free point: every kernel stack empty, no
   /// task preempted or inside a communication window, and the stream still
   /// well-formed. Cutting a segment here makes the per-segment aggregates
   /// merge exactly to the uncut trace's — the rotation gate of the segment
   /// store.
-  bool quiescent() const;
+  bool quiescent() const { return builder_.quiescent(); }
 
  private:
-  /// One open kernel interval on a CPU (mirrors interval.cpp's OpenFrame,
-  /// plus the fields the streaming variant cannot look up later).
-  struct Frame {
-    ActivityKind kind = ActivityKind::kMaxKind;
-    Pid task = 0;
-    TimeNs start = 0;
-    DurNs child_time = 0;
-    bool in_comm_at_entry = false;
-  };
-  /// Per-task preemption / communication state (mirrors TaskScan).
-  struct TaskState {
-    bool preempted = false;
-    TimeNs pre_start = 0;
-    bool pre_in_comm = false;  ///< task was in a comm window at preemption start
-    bool in_comm = false;
-  };
-  /// Accumulators for one chunk in progress, keyed maps so the drained
-  /// sparse lists come out sorted.
-  struct PreAccum {
-    trace::AggAccum acc;
-    std::uint64_t cex_count = 0;
-    std::uint64_t cex_sum = 0;
-  };
+  void add_kernel(const Interval& iv, bool in_comm);
+  void add_preemption(const Interval& iv, bool in_comm, bool notify);
 
-  void close_kernel(std::uint16_t cpu, const tracebuf::EventRecord& rec);
-  void close_preemption(Pid task, TaskState& st, TimeNs end, bool notify = true);
-  trace::ChunkAggregate drain();
-
-  std::vector<std::vector<Frame>> stacks_;  ///< per-cpu open kernel intervals
-  std::map<Pid, TaskState> states_;
-  bool dirty_ = false;
+  IntervalBuilder builder_;
   bool poisoned_ = false;
   NoiseObserver observer_;
 
-  std::map<std::uint64_t, trace::AggAccum> classes_;
-  std::map<Pid, PreAccum> preempt_;
-  std::map<std::pair<std::uint64_t, std::uint64_t>, std::pair<std::uint64_t, std::uint64_t>>
-      noise_;  ///< (task, category) -> (count, charged sum)
-  std::map<std::uint64_t, std::uint64_t> cpu_events_;
+  /// Accumulators of the chunk in progress, keyed so drained lists come out
+  /// sorted.
+  std::map<std::uint64_t, trace::ChunkAggregate::ClassAccum> classes_;
+  std::map<Pid, trace::ChunkAggregate::PreAccum> preempt_;
+  std::map<std::pair<std::uint64_t, std::uint64_t>, trace::ChunkAggregate::NoiseAccum>
+      noise_;  ///< keyed by (task, category)
+  std::map<std::uint64_t, trace::ChunkAggregate::CpuCount> cpu_events_;
 };
 
 }  // namespace osn::noise

@@ -1,9 +1,9 @@
 #include "noise/interval.hpp"
 
 #include <algorithm>
-#include <map>
+#include <iterator>
+#include <tuple>
 
-#include "common/assert.hpp"
 #include "trace/schema.hpp"
 
 namespace osn::noise {
@@ -11,22 +11,14 @@ namespace osn::noise {
 using trace::EventType;
 
 std::string_view activity_name(ActivityKind k) {
-  switch (k) {
-    case ActivityKind::kTimerIrq: return "timer_interrupt";
-    case ActivityKind::kNetIrq: return "net_interrupt";
-    case ActivityKind::kReschedIpi: return "resched_ipi";
-    case ActivityKind::kTimerSoftirq: return "run_timer_softirq";
-    case ActivityKind::kRebalanceSoftirq: return "run_rebalance_domains";
-    case ActivityKind::kRcuSoftirq: return "rcu_process_callbacks";
-    case ActivityKind::kNetRxTasklet: return "net_rx_action";
-    case ActivityKind::kNetTxTasklet: return "net_tx_action";
-    case ActivityKind::kPageFault: return "page_fault";
-    case ActivityKind::kSyscall: return "syscall";
-    case ActivityKind::kSchedule: return "schedule";
-    case ActivityKind::kPreemption: return "preemption";
-    case ActivityKind::kMaxKind: break;
-  }
-  return "unknown";
+  static constexpr std::string_view kNames[] = {
+      "timer_interrupt",   "net_interrupt",         "resched_ipi",
+      "run_timer_softirq", "run_rebalance_domains", "rcu_process_callbacks",
+      "net_rx_action",     "net_tx_action",         "page_fault",
+      "syscall",           "schedule",              "preemption"};
+  static_assert(std::size(kNames) == static_cast<std::size_t>(ActivityKind::kMaxKind));
+  const auto i = static_cast<std::size_t>(k);
+  return i < std::size(kNames) ? kNames[i] : "unknown";
 }
 
 std::optional<ActivityKind> activity_from_name(std::string_view name) {
@@ -37,15 +29,7 @@ std::optional<ActivityKind> activity_from_name(std::string_view name) {
   return std::nullopt;
 }
 
-ActivityKind activity_of(EventType entry_type, std::uint64_t arg) {
-  if (const auto kind = try_activity_of(entry_type, arg)) return *kind;
-  // Not an OSN_ASSERT: this must abort even in builds that compile contract
-  // checks out — falling off the end of a value-returning function is UB.
-  assert_fail("activity_of: mapped entry event", __FILE__, __LINE__,
-              "unmapped entry event");
-}
-
-std::optional<ActivityKind> try_activity_of(EventType entry_type, std::uint64_t arg) {
+std::optional<ActivityKind> activity_of(EventType entry_type, std::uint64_t arg) {
   switch (entry_type) {
     case EventType::kIrqEntry:
       switch (static_cast<trace::IrqVector>(arg)) {
@@ -79,56 +63,168 @@ std::optional<ActivityKind> try_activity_of(EventType entry_type, std::uint64_t 
 }
 
 bool interval_before(const Interval& a, const Interval& b) {
-  if (a.start != b.start) return a.start < b.start;
-  if (a.depth != b.depth) return a.depth < b.depth;
-  if (a.cpu != b.cpu) return a.cpu < b.cpu;
-  if (a.kind != b.kind) return a.kind < b.kind;
-  if (a.task != b.task) return a.task < b.task;
-  if (a.detail != b.detail) return a.detail < b.detail;
-  return a.end < b.end;
+  return std::tie(a.start, a.depth, a.cpu, a.kind, a.task, a.detail, a.end) <
+         std::tie(b.start, b.depth, b.cpu, b.kind, b.task, b.detail, b.end);
+}
+
+std::string_view anomaly_name(AnomalyKind kind) {
+  static constexpr std::string_view kNames[] = {
+      "stray exit",        "mismatched exit",   "unmapped entry", "unclosed at end of trace",
+      "nested preemption", "re-entered barrier"};
+  const auto i = static_cast<std::size_t>(kind);
+  return i < std::size(kNames) ? kNames[i] : "unknown anomaly";
+}
+
+bool anomaly_before(const IntervalAnomaly& a, const IntervalAnomaly& b) {
+  const auto key = [](const IntervalAnomaly& x) {
+    return std::tuple(x.kind == AnomalyKind::kUnclosedAtEnd, x.timestamp, x.cpu, x.index);
+  };
+  return key(a) < key(b);
+}
+
+std::string to_string(const IntervalAnomaly& a) {
+  return std::string(anomaly_name(a.kind)) + " on cpu " + std::to_string(a.cpu) + " at " +
+         std::to_string(a.timestamp) + " ns (cpu record " + std::to_string(a.index) +
+         ", pid " + std::to_string(a.pid) + ")";
+}
+
+AnalysisError::AnalysisError(const IntervalAnomaly& anomaly)
+    : std::runtime_error("cannot analyze trace: " + to_string(anomaly)), anomaly_(anomaly) {}
+
+IntervalBuilder::Step IntervalBuilder::kernel(const tracebuf::EventRecord& rec,
+                                              std::uint64_t index, bool entry) {
+  const auto type = static_cast<EventType>(rec.event);
+  std::vector<Frame>& stack = cpus_[rec.cpu].stack;
+  if (entry) {
+    const auto kind = activity_of(type, rec.arg);
+    if (!kind) return fail(AnomalyKind::kUnmappedEntry, rec, index, rec.pid);
+    const auto it = tasks_.find(rec.pid);  // stays empty for a kernel-only builder
+    const bool in_comm = it != tasks_.end() && it->second.in_comm;
+    // The task current on the CPU at entry is the one charged.
+    stack.push_back(Frame{*kind, in_comm, rec.pid, rec.arg, rec.timestamp, 0, index,
+                          cpus_[rec.cpu].entries++});
+    return Step::kOpened;
+  }
+  if (stack.empty()) return fail(AnomalyKind::kStrayExit, rec, index, rec.pid);
+  const Frame frame = stack.back();
+  stack.pop_back();
+  if (activity_of(trace::entry_of(type), rec.arg) != frame.kind || rec.timestamp < frame.start)
+    return fail(AnomalyKind::kMismatchedExit, rec, index, rec.pid);
+  const DurNs inclusive = rec.timestamp - frame.start;
+  closed_ = Interval{frame.kind, frame.detail, rec.cpu, frame.task, frame.start, rec.timestamp,
+                     inclusive, sat_sub(inclusive, frame.child_time),
+                     static_cast<std::uint16_t>(stack.size())};
+  closed_ordinal_ = frame.ordinal;
+  closed_in_comm_ = frame.in_comm;
+  if (!stack.empty()) stack.back().child_time += inclusive;
+  return Step::kKernel;
+}
+
+IntervalBuilder::Step IntervalBuilder::task(const tracebuf::EventRecord& rec,
+                                            std::uint64_t index) {
+  const auto type = static_cast<EventType>(rec.event);
+  if (type == EventType::kSchedSwitch) {
+    const trace::SwitchArg sw = trace::unpack_switch(rec.arg);
+    if (sw.prev != kIdlePid && sw.prev_runnable) {
+      TaskState& st = tasks_[sw.prev];
+      if (st.preempted && !cpu_subset_)
+        return fail(AnomalyKind::kNestedPreemption, rec, index, sw.prev);
+      st.preempted = true;
+      st.pre_in_comm = st.in_comm;
+      st.pre = Interval{ActivityKind::kPreemption, sw.next, rec.cpu, sw.prev, rec.timestamp};
+    }
+    const auto it = sw.next != kIdlePid ? tasks_.find(sw.next) : tasks_.end();
+    if (it != tasks_.end() && it->second.preempted)
+      return close_preemption(it->second, rec.timestamp);
+  } else if (type == EventType::kAppMark) {
+    const auto mark = static_cast<trace::AppMark>(rec.arg);
+    if (mark == trace::AppMark::kBarrierEnter) {
+      TaskState& st = tasks_[rec.pid];
+      if (st.in_comm && !cpu_subset_)
+        return fail(AnomalyKind::kReenteredBarrier, rec, index, rec.pid);
+      st.in_comm = true;
+      st.comm_start = rec.timestamp;
+    } else if (mark == trace::AppMark::kBarrierExit) {
+      const auto it = tasks_.find(rec.pid);
+      if (it != tasks_.end() && it->second.in_comm)
+        return close_comm(rec.pid, it->second, rec.timestamp);
+    }
+  }
+  return Step::kNone;
+}
+
+IntervalBuilder::Step IntervalBuilder::close_preemption(TaskState& st, TimeNs end) {
+  closed_ = st.pre;
+  closed_.end = end;
+  closed_.inclusive = closed_.self = end - st.pre.start;  // unsigned, like every path before
+  closed_in_comm_ = st.pre_in_comm;
+  st.preempted = false;
+  return Step::kPreemption;
+}
+
+IntervalBuilder::Step IntervalBuilder::close_comm(Pid task, TaskState& st, TimeNs end) {
+  comm_ = CommWindow{task, st.comm_start, end};
+  st.in_comm = false;
+  return Step::kComm;
+}
+
+bool IntervalBuilder::report_unclosed() {
+  // Each CPU's outermost open frame is its earliest; report the earliest of
+  // those (ties to the lower cpu).
+  for (std::size_t c = 0; c < cpus_.size(); ++c) {
+    if (cpus_[c].stack.empty()) continue;
+    const Frame& f = cpus_[c].stack.front();
+    if (!anomaly_ || f.start < anomaly_->timestamp)
+      anomaly_ = IntervalAnomaly{AnomalyKind::kUnclosedAtEnd, static_cast<CpuId>(c), f.index,
+                                 f.task, f.start};
+  }
+  return anomaly_.has_value();
+}
+
+IntervalBuilder::Step IntervalBuilder::fail(AnomalyKind kind, const tracebuf::EventRecord& rec,
+                                            std::uint64_t index, Pid pid) {
+  anomaly_ = IntervalAnomaly{kind, rec.cpu, index, pid, rec.timestamp};
+  return Step::kAnomaly;
+}
+
+std::size_t IntervalBuilder::open_frames() const {
+  std::size_t open = 0;
+  for (const CpuState& cpu : cpus_) open += cpu.stack.size();
+  return open;
+}
+
+bool IntervalBuilder::quiescent() const {
+  if (anomaly_) return false;
+  for (const CpuState& cpu : cpus_)
+    if (!cpu.stack.empty()) return false;
+  for (const auto& [pid, st] : tasks_)
+    if (st.preempted || st.in_comm) return false;
+  return true;
 }
 
 namespace {
 
-/// Per-CPU open-interval bookkeeping during the linear scan.
-struct OpenFrame {
-  std::size_t interval_index;  ///< position in the shard
-  DurNs child_time = 0;        ///< inclusive time of direct children
+/// One CPU's kernel intervals in entry order, or the CPU's first anomaly.
+struct KernelShard {
+  std::vector<Interval> intervals;
+  std::optional<IntervalAnomaly> anomaly;
 };
 
-}  // namespace
-
-std::vector<Interval> scan_cpu_kernel(const trace::TraceModel& model, CpuId cpu) {
-  std::vector<Interval> shard;
-  std::vector<OpenFrame> stack;
+KernelShard scan_cpu(const trace::TraceModel& model, CpuId cpu) {
+  KernelShard out;
+  IntervalBuilder builder(IntervalBuilder::Halves::kKernel);
   for (const auto& rec : model.cpu_events(cpu)) {
-    const auto type = static_cast<EventType>(rec.event);
-    if (trace::is_entry(type)) {
-      Interval iv;
-      iv.kind = activity_of(type, rec.arg);
-      iv.detail = rec.arg;
-      iv.cpu = cpu;
-      iv.task = rec.pid;  // task current on the CPU at entry
-      iv.start = rec.timestamp;
-      iv.depth = static_cast<std::uint16_t>(stack.size());
-      stack.push_back(OpenFrame{shard.size(), 0});
-      shard.push_back(iv);
-    } else if (trace::is_exit(type)) {
-      OSN_ASSERT_MSG(!stack.empty(), "exit without entry");
-      const OpenFrame frame = stack.back();
-      stack.pop_back();
-      Interval& iv = shard[frame.interval_index];
-      OSN_ASSERT_MSG(activity_of(trace::entry_of(type), rec.arg) == iv.kind,
-                     "mismatched exit");
-      iv.end = rec.timestamp;
-      iv.inclusive = iv.end - iv.start;
-      iv.self = sat_sub(iv.inclusive, frame.child_time);
-      if (!stack.empty()) stack.back().child_time += iv.inclusive;
-    }
+    const IntervalBuilder::Step step = builder.feed(rec);
+    if (step == IntervalBuilder::Step::kOpened) out.intervals.emplace_back();
+    if (step == IntervalBuilder::Step::kKernel)
+      out.intervals[builder.closed_ordinal()] = builder.closed();
   }
-  OSN_ASSERT_MSG(stack.empty(), "unclosed kernel interval at end of trace");
-  return shard;
+  builder.finish(model.meta().end_ns, [](IntervalBuilder::Step) {});
+  out.anomaly = builder.anomaly();
+  return out;
 }
+
+}  // namespace
 
 std::vector<Interval> merge_kernel_shards(std::vector<std::vector<Interval>> shards) {
   std::size_t total = 0;
@@ -136,10 +232,9 @@ std::vector<Interval> merge_kernel_shards(std::vector<std::vector<Interval>> sha
   std::vector<Interval> out;
   out.reserve(total);
 
-  // Each shard is already ordered by interval_before, and (start, depth,
-  // cpu) cannot tie across shards, so repeatedly taking the smallest shard
-  // head is a deterministic total ordering. Linear selection over k shards
-  // beats a heap for the node sizes we simulate (k <= 64).
+  // Shards are ordered by interval_before and cannot tie across each other,
+  // so taking the smallest head is deterministic; linear selection over
+  // k <= 64 shards beats a heap.
   std::vector<std::size_t> cursor(shards.size(), 0);
   while (out.size() < total) {
     std::size_t best = shards.size();
@@ -155,96 +250,47 @@ std::vector<Interval> merge_kernel_shards(std::vector<std::vector<Interval>> sha
   return out;
 }
 
-IntervalSet build_intervals(const trace::TraceModel& model, ThreadPool* pool) {
+IntervalSet build_intervals(const trace::TraceModel& model, ThreadPool* pool,
+                            bool cpu_subset) {
   IntervalSet out;
 
-  // --- kernel entry/exit intervals: one shard per CPU ----------------------
-  // The scan is CPU-local by construction (LTTng's channels are per-CPU), so
-  // shards run concurrently; the calling thread derives the preemption and
-  // communication windows from the merged stream meanwhile.
-  std::vector<std::vector<Interval>> shards(model.cpu_count());
-  std::vector<std::future<std::vector<Interval>>> futures;
+  // --- kernel half: one shard per CPU (LTTng's channels are per-CPU) -------
+  std::vector<KernelShard> shards(model.cpu_count());
+  std::vector<std::future<KernelShard>> futures;
   if (pool != nullptr && model.cpu_count() > 1) {
     futures.reserve(model.cpu_count());
     for (CpuId cpu = 0; cpu < model.cpu_count(); ++cpu)
-      futures.push_back(
-          pool->submit([&model, cpu] { return scan_cpu_kernel(model, cpu); }));
+      futures.push_back(pool->submit([&model, cpu] { return scan_cpu(model, cpu); }));
   } else {
-    for (CpuId cpu = 0; cpu < model.cpu_count(); ++cpu)
-      shards[cpu] = scan_cpu_kernel(model, cpu);
+    for (CpuId cpu = 0; cpu < model.cpu_count(); ++cpu) shards[cpu] = scan_cpu(model, cpu);
   }
 
-  // --- preemption intervals and communication windows, per task ------------
-  struct TaskScan {
-    bool preempted = false;
-    TimeNs preempt_start = 0;
-    CpuId preempt_cpu = 0;
-    Pid preemptor = 0;
-    bool in_comm = false;
-    TimeNs comm_start = 0;
+  // --- task half, on the calling thread meanwhile ---------------------------
+  IntervalBuilder tasks(IntervalBuilder::Halves::kTasks, cpu_subset);
+  const auto keep = [&](IntervalBuilder::Step step) {
+    if (step == IntervalBuilder::Step::kPreemption && model.is_app(tasks.closed().task))
+      out.preemption.push_back(tasks.closed());
+    else if (step == IntervalBuilder::Step::kComm)
+      out.comm.push_back(tasks.comm());
   };
-  std::map<Pid, TaskScan> scans;
-
-  for (const auto& rec : model.merged()) {
-    const auto type = static_cast<EventType>(rec.event);
-    if (type == EventType::kSchedSwitch) {
-      const trace::SwitchArg sw = trace::unpack_switch(rec.arg);
-      if (sw.prev != kIdlePid && model.is_app(sw.prev) && sw.prev_runnable) {
-        TaskScan& scan = scans[sw.prev];
-        OSN_ASSERT_MSG(!scan.preempted, "nested preemption of one task");
-        scan.preempted = true;
-        scan.preempt_start = rec.timestamp;
-        scan.preempt_cpu = static_cast<CpuId>(rec.cpu);
-        scan.preemptor = sw.next;
-      }
-      if (sw.next != kIdlePid && model.is_app(sw.next)) {
-        TaskScan& scan = scans[sw.next];
-        if (scan.preempted) {
-          Interval iv;
-          iv.kind = ActivityKind::kPreemption;
-          iv.detail = scan.preemptor;
-          iv.cpu = scan.preempt_cpu;
-          iv.task = sw.next;
-          iv.start = scan.preempt_start;
-          iv.end = rec.timestamp;
-          iv.inclusive = iv.end - iv.start;
-          iv.self = iv.inclusive;
-          out.preemption.push_back(iv);
-          scan.preempted = false;
-        }
-      }
-    } else if (type == EventType::kAppMark) {
-      const auto mark = static_cast<trace::AppMark>(rec.arg);
-      TaskScan& scan = scans[rec.pid];
-      if (mark == trace::AppMark::kBarrierEnter) {
-        scan.in_comm = true;
-        scan.comm_start = rec.timestamp;
-      } else if (mark == trace::AppMark::kBarrierExit && scan.in_comm) {
-        out.comm.push_back(CommWindow{rec.pid, scan.comm_start, rec.timestamp});
-        scan.in_comm = false;
-      }
-    }
-  }
-  // Close dangling windows at trace end (a task preempted when tracing
+  for (const auto& rec : model.merged()) keep(tasks.feed(rec));
+  // Dangling windows close at trace end (a task preempted when tracing
   // stopped still contributes the observed portion).
-  for (auto& [pid, scan] : scans) {
-    if (scan.preempted) {
-      Interval iv;
-      iv.kind = ActivityKind::kPreemption;
-      iv.detail = scan.preemptor;
-      iv.cpu = scan.preempt_cpu;
-      iv.task = pid;
-      iv.start = scan.preempt_start;
-      iv.end = model.meta().end_ns;
-      iv.inclusive = iv.end - iv.start;
-      iv.self = iv.inclusive;
-      out.preemption.push_back(iv);
-    }
-    if (scan.in_comm) out.comm.push_back(CommWindow{pid, scan.comm_start, model.meta().end_ns});
-  }
+  tasks.finish(model.meta().end_ns, keep);
 
+  for (auto& future : futures) future.wait();
   for (std::size_t cpu = 0; cpu < futures.size(); ++cpu) shards[cpu] = futures[cpu].get();
-  out.kernel = merge_kernel_shards(std::move(shards));
+
+  std::optional<IntervalAnomaly> first = tasks.anomaly();
+  std::vector<std::vector<Interval>> kernel;
+  kernel.reserve(shards.size());
+  for (KernelShard& shard : shards) {
+    if (shard.anomaly && (!first || anomaly_before(*shard.anomaly, *first)))
+      first = shard.anomaly;
+    kernel.push_back(std::move(shard.intervals));
+  }
+  if (first) throw AnalysisError(*first);
+  out.kernel = merge_kernel_shards(std::move(kernel));
   std::sort(out.preemption.begin(), out.preemption.end(), interval_before);
   return out;
 }

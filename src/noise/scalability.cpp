@@ -7,12 +7,15 @@
 
 namespace osn::noise {
 
-NoiseProfile NoiseProfile::from_analysis(const NoiseAnalysis& analysis) {
+NoiseProfile NoiseProfile::from_analysis(const NoiseAnalysis& analysis,
+                                         const std::vector<NoiseCategory>& absorbed) {
   NoiseProfile p;
   const auto ranks = analysis.model().app_pids();
   OSN_ASSERT_MSG(!ranks.empty(), "profile needs application ranks");
   double total_ns = 0;
   for (const Interval& iv : analysis.noise_intervals()) {
+    if (std::find(absorbed.begin(), absorbed.end(), categorize(iv.kind)) != absorbed.end())
+      continue;
     const DurNs charged = analysis.charged(iv);
     if (charged == 0) continue;
     p.durations.push_back(charged);
@@ -87,33 +90,7 @@ MitigationEstimate estimate_mitigation(const NoiseAnalysis& analysis,
                                        std::uint64_t ranks,
                                        const ScalabilityParams& params) {
   const NoiseProfile baseline = NoiseProfile::from_analysis(analysis);
-
-  // Mitigated profile: drop the absorbed categories from the event stream.
-  NoiseProfile mitigated;
-  double total_ns = 0;
-  for (const Interval& iv : analysis.noise_intervals()) {
-    const NoiseCategory cat = categorize(iv.kind);
-    bool is_absorbed = false;
-    for (const NoiseCategory a : absorbed)
-      if (a == cat) is_absorbed = true;
-    if (is_absorbed) continue;
-    const DurNs charged = analysis.charged(iv);
-    if (charged == 0) continue;
-    mitigated.durations.push_back(charged);
-    total_ns += static_cast<double>(charged);
-  }
-  const double rank_seconds =
-      static_cast<double>(analysis.model().duration()) /
-      static_cast<double>(kNsPerSec) *
-      static_cast<double>(analysis.model().app_pids().size());
-  if (!mitigated.durations.empty() && rank_seconds > 0) {
-    mitigated.events_per_sec =
-        static_cast<double>(mitigated.durations.size()) / rank_seconds;
-    mitigated.mean_duration_ns =
-        total_ns / static_cast<double>(mitigated.durations.size());
-    mitigated.noise_fraction =
-        total_ns / (rank_seconds * static_cast<double>(kNsPerSec));
-  }
+  const NoiseProfile mitigated = NoiseProfile::from_analysis(analysis, absorbed);
 
   MitigationEstimate out;
   out.baseline = extrapolate_scalability(baseline, {ranks}, params)[0];

@@ -37,8 +37,9 @@ struct NoiseProfile {
   double noise_fraction = 0;        ///< share of rank time lost to noise
 
   /// Extracts the profile from an analysis (noise intervals of all ranks,
-  /// normalized per rank).
-  static NoiseProfile from_analysis(const NoiseAnalysis& analysis);
+  /// normalized per rank), leaving out the `absorbed` categories.
+  static NoiseProfile from_analysis(const NoiseAnalysis& analysis,
+                                    const std::vector<NoiseCategory>& absorbed = {});
 };
 
 struct ScalabilityPoint {

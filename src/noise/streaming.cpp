@@ -1,47 +1,23 @@
 #include "noise/streaming.hpp"
 
-#include "common/assert.hpp"
 #include "trace/event_source.hpp"
-#include "trace/schema.hpp"
 
 namespace osn::noise {
 
 void StreamingStats::consume(trace::EventSource& source) {
   source.for_each([this](const tracebuf::EventRecord& rec) { consume(rec); });
+  builder_.finish(source.meta().end_ns, [](IntervalBuilder::Step) {});
 }
 
 void StreamingStats::consume(const tracebuf::EventRecord& rec) {
   ++consumed_;
-  const auto type = static_cast<trace::EventType>(rec.event);
-  if (rec.cpu >= stacks_.size()) stacks_.resize(rec.cpu + 1u);
-  std::vector<OpenFrame>& stack = stacks_[rec.cpu];
-
-  if (trace::is_entry(type)) {
-    stack.push_back(OpenFrame{activity_of(type, rec.arg), rec.timestamp, 0});
-    return;
-  }
-  if (!trace::is_exit(type)) return;  // point event
-
-  OSN_ASSERT_MSG(!stack.empty(), "exit without entry in live stream");
-  const OpenFrame frame = stack.back();
-  stack.pop_back();
-  OSN_ASSERT_MSG(activity_of(trace::entry_of(type), rec.arg) == frame.kind,
-                 "mismatched exit in live stream");
-  const DurNs inclusive = rec.timestamp - frame.start;
-  const DurNs self = sat_sub(inclusive, frame.child_time);
-  if (!stack.empty()) stack.back().child_time += inclusive;
-  accums_[static_cast<std::size_t>(frame.kind)].add(self);
+  if (builder_.feed(rec) == IntervalBuilder::Step::kKernel)
+    accums_[static_cast<std::size_t>(builder_.closed().kind)].add(builder_.closed().self);
 }
 
 EventStats StreamingStats::activity_stats(ActivityKind kind, DurNs duration,
                                           std::uint16_t n_cpus) const {
   return accums_[static_cast<std::size_t>(kind)].to_stats(duration, n_cpus);
-}
-
-std::size_t StreamingStats::open_frames() const {
-  std::size_t open = 0;
-  for (const auto& stack : stacks_) open += stack.size();
-  return open;
 }
 
 }  // namespace osn::noise

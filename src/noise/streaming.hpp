@@ -1,20 +1,15 @@
 // Incremental per-activity statistics over a live record stream.
 //
-// The offline NoiseAnalysis needs the whole TraceModel in memory; the live
-// consumer-daemon pipeline instead feeds records one at a time, in global
-// merged order, into this accumulator. It performs the same entry/exit
-// pairing with nested-event resolution (self time = inclusive minus nested
-// children) as build_intervals, but in O(max nesting depth) memory per CPU —
-// the whole-trace interval list is never materialized.
-//
-// Scope: kernel entry/exit activities (the paper's Tables I-VI). Derived
-// preemption intervals and the runnable filter need the task registry, which
-// is only known at end of run; those remain offline analyses.
+// The live consumer-daemon pipeline feeds records one at a time, in merged
+// order, through the kernel half of the IntervalBuilder build_intervals
+// uses (self time = inclusive minus nested children), in O(max nesting
+// depth) memory per CPU: the trace is never materialized. Scope: kernel
+// entry/exit activities (Tables I-VI); preemption and the runnable filter
+// need the task registry, known only at end of run, and stay offline.
 #pragma once
 
-#include <array>
 #include <cstdint>
-#include <vector>
+#include <optional>
 
 #include "noise/analysis.hpp"
 #include "noise/interval.hpp"
@@ -28,13 +23,13 @@ namespace osn::noise {
 
 class StreamingStats {
  public:
-  /// Feed the next record of the merged stream. Per-CPU subsequences must be
-  /// time-ordered with balanced entry/exit pairs (the tracer guarantees
-  /// both). Point events are counted but open no interval.
+  /// Feed the next record of the merged stream. Point events are counted but
+  /// open no interval; the first unpairable record stops accumulation.
   void consume(const tracebuf::EventRecord& rec);
 
   /// Drains an entire EventSource through consume() in merged order —
-  /// chunk-at-a-time for v3 files, so the trace is never materialized.
+  /// chunk-at-a-time for v3 files, so the trace is never materialized — then
+  /// reports an entry still open at the trace end as an anomaly.
   void consume(trace::EventSource& source);
 
   /// Self-time statistics for one activity, matching
@@ -45,16 +40,12 @@ class StreamingStats {
   std::uint64_t consumed() const { return consumed_; }
   /// Entry events whose exit has not arrived yet (0 once a well-formed
   /// stream ends).
-  std::size_t open_frames() const;
+  std::size_t open_frames() const { return builder_.open_frames(); }
+  /// The first kernel-side anomaly (unpairable record) of the stream.
+  const std::optional<IntervalAnomaly>& anomaly() const { return builder_.anomaly(); }
 
  private:
-  struct OpenFrame {
-    ActivityKind kind = ActivityKind::kMaxKind;
-    TimeNs start = 0;
-    DurNs child_time = 0;
-  };
-
-  std::vector<std::vector<OpenFrame>> stacks_;  ///< per-cpu, grown on demand
+  IntervalBuilder builder_{IntervalBuilder::Halves::kKernel};
   /// Exact integer accumulators — the same reduce the offline analyzer
   /// uses, so live and offline tables agree bit-for-bit.
   ActivityAccumArray accums_;

@@ -63,7 +63,9 @@ std::string render_plan(const trace::TraceModel& base, const Plan& plan,
   const trace::TraceModel& model = local.has_value() ? *local : base;
 
   if (checkpoint) checkpoint("before analysis");
-  const noise::NoiseAnalysis analysis(model, plan.options);
+  noise::AnalysisOptions options = plan.options;
+  options.cpu_subset = plan.cpu.has_value();
+  const noise::NoiseAnalysis analysis(model, options);
 
   switch (plan.aggregate) {
     case Aggregate::kSummary:

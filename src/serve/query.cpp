@@ -252,6 +252,8 @@ Response execute_query(const QueryContext& ctx, const Request& req, Deadline dea
                              e.what());
   } catch (const trace::TraceReadError& e) {
     resp = Response::failure(req.id, errc::kTraceError, e.what());
+  } catch (const noise::AnalysisError& e) {
+    resp = Response::failure(req.id, errc::kTraceError, e.what());
   } catch (const std::exception& e) {
     resp = Response::failure(req.id, errc::kInternal, e.what());
   }

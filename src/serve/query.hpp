@@ -46,10 +46,11 @@ struct QueryContext {
   std::function<std::string()> monitor_alerts;
 };
 
-/// Executes one request. Never throws: trace problems become trace_error
-/// responses, unknown names unknown_trace, expired deadlines
-/// deadline_exceeded. Updates cache + outcome counters (but not latency —
-/// the server observes that around the whole request).
+/// Executes one request. Never throws: trace problems (unreadable or
+/// unpairable records) become trace_error responses, unknown names
+/// unknown_trace, expired deadlines deadline_exceeded. Updates cache +
+/// outcome counters (but not latency — the server observes that around the
+/// whole request).
 Response execute_query(const QueryContext& ctx, const Request& req, Deadline deadline);
 
 /// Translates a wire request into the canonical plan the engine executes

@@ -29,11 +29,30 @@ DurNs jittered(Xoshiro256& rng, DurNs median, double sigma) {
   return static_cast<DurNs>(
       std::max(1.0, stats::sample_lognormal(rng, static_cast<double>(median), sigma)));
 }
+
+RegionPages region_pages(const RankParams& p) {
+  // The nominal-duration estimate with slack; the program clamps to it.
+  const double dur_sec =
+      static_cast<double>(p.run_duration) / static_cast<double>(kNsPerSec);
+  const auto steady_total =
+      static_cast<std::uint64_t>(p.steady_faults_per_sec * dur_sec * 1.6);
+  std::uint64_t bursts_total = 0;
+  if (p.burst_period > 0)
+    bursts_total =
+        p.burst_pages * (static_cast<std::uint64_t>(p.run_duration / p.burst_period) + 4);
+  RegionPages out;
+  out.anon = p.init_pages + p.final_pages + steady_total + bursts_total + 64;
+  out.cow = static_cast<std::uint64_t>(static_cast<double>(steady_total + bursts_total) *
+                                       p.cow_fraction) +
+            64;
+  return out;
+}
 }  // namespace
 
 RankProgram::RankProgram(RankParams params, std::uint32_t rank, std::uint32_t ranks,
                          std::uint32_t barrier_base)
-    : p_(params), rank_(rank), ranks_(ranks), barrier_base_(barrier_base) {
+    : p_(params), capacity_(region_pages(params)), rank_(rank), ranks_(ranks),
+      barrier_base_(barrier_base) {
   if (p_.iters_per_barrier > 0) {
     // Exit after a fixed barrier count so every rank leaves together; the
     // count is derived from identical parameters, hence identical per rank.
@@ -126,12 +145,17 @@ void RankProgram::generate_iteration(kernel::Kernel& k, kernel::Task& self) {
   last_debt_time_ = k.now();
 
   // Touch helper splitting fresh pages between the anonymous and COW regions
-  // (the two histogram modes of Fig 4a).
+  // (the two histogram modes of Fig 4a). Touches are clamped to the region
+  // capacities (anon keeps room for the final phase); a run that fits them
+  // never reaches a clamp.
   auto touch_split = [&](std::uint64_t pages) {
     cow_debt_ += static_cast<double>(pages) * p_.cow_fraction;
-    const auto cow_whole = static_cast<std::uint64_t>(cow_debt_);
-    cow_debt_ -= static_cast<double>(cow_whole);
-    const std::uint64_t anon_whole = pages - std::min(cow_whole, pages);
+    const auto cow_split = static_cast<std::uint64_t>(cow_debt_);
+    cow_debt_ -= static_cast<double>(cow_split);
+    const std::uint64_t anon_whole =
+        std::min(pages - std::min(cow_split, pages),
+                 capacity_.anon - p_.final_pages - pages_used_);
+    const std::uint64_t cow_whole = std::min(cow_split, capacity_.cow - cow_pages_used_);
     if (anon_whole > 0) {
       pending_.push_back(kernel::ActTouch{kAnonRegion, pages_used_, anon_whole,
                                           /*write=*/false, p_.per_page_touch});
@@ -213,23 +237,7 @@ kernel::NodeConfig SequoiaWorkload::config() const {
 
 void SequoiaWorkload::setup(kernel::Kernel& kernel) {
   const kernel::NodeConfig& cfg = kernel.config();
-  const double dur_sec =
-      static_cast<double>(duration_) / static_cast<double>(kNsPerSec);
-
-  // Region capacity: everything the rank could touch, with slack (the
-  // program clamps nothing; running out would assert).
-  const auto steady_total = static_cast<std::uint64_t>(
-      rank_params_.steady_faults_per_sec * dur_sec * 1.6);
-  std::uint64_t bursts_total = 0;
-  if (rank_params_.burst_period > 0)
-    bursts_total = rank_params_.burst_pages *
-                   (static_cast<std::uint64_t>(duration_ / rank_params_.burst_period) + 4);
-  const std::uint64_t anon_pages = rank_params_.init_pages + rank_params_.final_pages +
-                                   steady_total + bursts_total + 64;
-  const std::uint64_t cow_pages =
-      static_cast<std::uint64_t>(static_cast<double>(steady_total + bursts_total) *
-                                 rank_params_.cow_fraction) +
-      64;
+  const RegionPages pages = region_pages(rank_params_);
 
   rank_pids_.clear();
   for (std::uint32_t r = 0; r < ranks_; ++r) {
@@ -238,8 +246,8 @@ void SequoiaWorkload::setup(kernel::Kernel& kernel) {
     const auto cpu = static_cast<CpuId>((first_cpu_ + r) % cfg.n_cpus);
     const Pid pid = kernel.spawn(app_name(app_) + "-rank" + std::to_string(r),
                                  std::move(program), /*is_app=*/true, cpu);
-    kernel.add_region(pid, anon_pages, trace::PageFaultKind::kMinorAnon);
-    kernel.add_region(pid, cow_pages, trace::PageFaultKind::kCow);
+    kernel.add_region(pid, pages.anon, trace::PageFaultKind::kMinorAnon);
+    kernel.add_region(pid, pages.cow, trace::PageFaultKind::kCow);
     rank_pids_.push_back(pid);
   }
 

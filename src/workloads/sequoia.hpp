@@ -55,6 +55,17 @@ struct RankParams {
   DurNs helper_compute = 3 * kNsPerMs;
 };
 
+/// Page capacity of one rank's anonymous and COW regions, derived from the
+/// rank parameters. RankProgram clamps its steady-state and burst touches to
+/// these capacities (keeping room for the final phase), so the regions
+/// SequoiaWorkload allocates from them are never overrun — even when noise
+/// stretches a barrier-bounded run well past run_duration and the
+/// wall-clock fault debt keeps accruing.
+struct RegionPages {
+  std::uint64_t anon = 0;
+  std::uint64_t cow = 0;
+};
+
 /// One application rank: init touch -> iterate(compute, touch, I/O, barrier)
 /// -> final touch -> exit. Barrier-synchronized apps exit after a fixed
 /// barrier count so no rank leaves peers stranded.
@@ -70,6 +81,7 @@ class RankProgram final : public kernel::TaskProgram {
   kernel::Action pop(kernel::Kernel& k, kernel::Task& self);
 
   RankParams p_;
+  RegionPages capacity_;
   std::uint32_t rank_;
   std::uint32_t ranks_;
   std::uint32_t barrier_base_;

@@ -224,9 +224,9 @@ TEST(IndexSummary, LegacyFormatFallsBack) {
 }
 
 TEST(IndexSummary, MalformedStreamVetoesAggregates) {
-  // Double BarrierEnter moves the window start in build_intervals — not
-  // representable as streaming state, so the aggregator must veto the block
-  // (no aggregates written) rather than ship subtly wrong exclusions.
+  // Double BarrierEnter is a re-entered-barrier anomaly: the aggregator must
+  // veto the block (no aggregates written), and record decode refuses the
+  // same stream.
   TraceBuilder b(1);
   b.task(1, "rank0", true);
   b.ev(0, 1'000, 1, EventType::kAppMark,

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
+#include <string>
 
+#include "common/thread_pool.hpp"
 #include "noise/interval.hpp"
 #include "trace_builder.hpp"
 
@@ -188,22 +191,19 @@ TEST(Interval, ActivityOfMapsPaperNames) {
   EXPECT_EQ(activity_of(EventType::kPageFaultEntry, 0), ActivityKind::kPageFault);
 }
 
-TEST(Interval, UnmatchedExitDies) {
+TEST(Interval, UnmatchedExitThrowsAnalysisError) {
   TraceBuilder b(1);
   b.task(1, "app", true);
   b.ev(0, 100, 1, EventType::kIrqExit, 0);
-  auto model = b.build();
-  EXPECT_DEATH(build_intervals(model), "exit without entry");
-}
-
-TEST(Interval, UnmappedEntryEventDies) {
-  // activity_of must abort loudly on an unmapped entry — never fall off the
-  // end of the function (UB if the contract check were compiled out).
-  EXPECT_DEATH(activity_of(EventType::kSchedSwitch, 0), "unmapped entry event");
-  EXPECT_DEATH(activity_of(EventType::kIrqEntry, 999), "unmapped entry event");
-  EXPECT_DEATH(activity_of(EventType::kSoftirqEntry,
-                           static_cast<std::uint64_t>(trace::SoftirqNr::kBlock)),
-               "unmapped entry event");
+  const auto model = b.build();
+  try {
+    build_intervals(model);
+    FAIL() << "expected AnalysisError";
+  } catch (const AnalysisError& e) {
+    EXPECT_EQ(e.anomaly(), (IntervalAnomaly{AnomalyKind::kStrayExit, 0, 0, 1, 100}));
+    EXPECT_NE(std::string(e.what()).find("stray exit on cpu 0 at 100 ns"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Interval, MergeKernelShardsOrdersByStartDepthCpu) {
@@ -233,6 +233,156 @@ TEST(Interval, MergeKernelShardsOrdersByStartDepthCpu) {
   EXPECT_EQ(merged[3].depth, 1u);  // (100, depth 1, cpu 0)
   EXPECT_EQ(merged[4].start, 300u);
   EXPECT_EQ(merged[5].start, 500u);
+}
+
+// ---------------------------------------------------------------------------
+// IntervalBuilder: the one pairing engine behind every driver
+// ---------------------------------------------------------------------------
+
+using Step = IntervalBuilder::Step;
+
+tracebuf::EventRecord rec(TimeNs ts, CpuId cpu, Pid pid, EventType type, std::uint64_t arg = 0) {
+  return trace::make_record(ts, cpu, pid, type, arg);
+}
+
+std::uint64_t mark(trace::AppMark m) { return static_cast<std::uint64_t>(m); }
+
+TEST(IntervalBuilder, ReportsEachAnomalyWithItsRecord) {
+  struct Case {
+    std::vector<tracebuf::EventRecord> records;
+    IntervalAnomaly expected;
+  };
+  const Case cases[] = {
+      {{rec(10, 1, 4, EventType::kPageFaultEntry), rec(20, 1, 4, EventType::kPageFaultExit),
+        rec(30, 1, 4, EventType::kPageFaultExit)},
+       {AnomalyKind::kStrayExit, 1, 2, 4, 30}},
+      {{rec(10, 0, 4, EventType::kIrqEntry, 0), rec(20, 0, 4, EventType::kIrqExit, 1)},
+       {AnomalyKind::kMismatchedExit, 0, 1, 4, 20}},
+      {{rec(10, 0, 4, EventType::kSchedWakeup, 4),
+        rec(20, 0, 4, EventType::kSoftirqEntry,
+            static_cast<std::uint64_t>(trace::SoftirqNr::kBlock))},
+       {AnomalyKind::kUnmappedEntry, 0, 1, 4, 20}},
+      {{rec(10, 0, 4, EventType::kSchedSwitch, trace::pack_switch({4, 9, true})),
+        rec(20, 1, 9, EventType::kSchedSwitch, trace::pack_switch({4, 9, true}))},
+       {AnomalyKind::kNestedPreemption, 1, 0, 4, 20}},
+      {{rec(10, 0, 4, EventType::kAppMark, mark(trace::AppMark::kBarrierEnter)),
+        rec(20, 0, 4, EventType::kAppMark, mark(trace::AppMark::kBarrierEnter))},
+       {AnomalyKind::kReenteredBarrier, 0, 1, 4, 20}},
+  };
+  for (const Case& c : cases) {
+    IntervalBuilder builder;
+    Step last = Step::kNone;
+    for (const auto& r : c.records) last = builder.feed(r);
+    EXPECT_EQ(last, Step::kAnomaly);
+    EXPECT_EQ(builder.anomaly(), c.expected) << to_string(c.expected);
+  }
+
+  // End of trace: the earliest entry still open, ties to the lower cpu.
+  IntervalBuilder builder;
+  builder.feed(rec(5, 1, 7, EventType::kSyscallEntry));
+  builder.feed(rec(5, 0, 3, EventType::kSyscallEntry));
+  builder.feed(rec(6, 0, 3, EventType::kIrqEntry));
+  builder.finish(100, [](Step) { ADD_FAILURE() << "nothing closes past an open entry"; });
+  EXPECT_EQ(builder.anomaly(), (IntervalAnomaly{AnomalyKind::kUnclosedAtEnd, 0, 0, 3, 5}));
+}
+
+TEST(IntervalBuilder, FirstAnomalyHaltsWithStateFrozen) {
+  // Rotation gating reads open_frames()/quiescent() after an anomaly: a
+  // stray exit leaves the stacks as they were, a mismatched exit has
+  // consumed its frame, and nothing after the anomaly is applied.
+  IntervalBuilder stray;
+  stray.feed(rec(10, 0, 1, EventType::kSyscallEntry));
+  EXPECT_EQ(stray.feed(rec(20, 1, 1, EventType::kIrqExit)), Step::kAnomaly);
+  EXPECT_EQ(stray.feed(rec(30, 0, 1, EventType::kSyscallExit)), Step::kNone);
+  EXPECT_EQ(stray.open_frames(), 1u);
+  EXPECT_FALSE(stray.quiescent());
+  stray.finish(40, [](Step) { ADD_FAILURE() << "a halted builder closes nothing"; });
+  EXPECT_EQ(stray.anomaly()->kind, AnomalyKind::kStrayExit);
+
+  IntervalBuilder mismatched;
+  mismatched.feed(rec(10, 0, 1, EventType::kIrqEntry, 0));
+  EXPECT_EQ(mismatched.feed(rec(20, 0, 1, EventType::kIrqExit, 2)), Step::kAnomaly);
+  EXPECT_EQ(mismatched.open_frames(), 0u);
+  EXPECT_FALSE(mismatched.quiescent());
+}
+
+TEST(IntervalBuilder, BenignNoOpsAndTheClosingProtocol) {
+  IntervalBuilder builder;
+  // A barrier exit with no enter and a switch-in with no pending preemption
+  // (what window-cut traces start with) change nothing.
+  EXPECT_EQ(builder.feed(rec(1, 0, 2, EventType::kAppMark, mark(trace::AppMark::kBarrierExit))),
+            Step::kNone);
+  EXPECT_EQ(builder.feed(rec(2, 0, 9, EventType::kSchedSwitch, trace::pack_switch({9, 2, false}))),
+            Step::kNone);
+  EXPECT_TRUE(builder.quiescent());
+
+  // Kernel intervals close innermost first, with their entry ordinals.
+  EXPECT_EQ(builder.feed(rec(10, 0, 2, EventType::kSyscallEntry)), Step::kOpened);
+  EXPECT_EQ(builder.feed(rec(12, 0, 2, EventType::kIrqEntry)), Step::kOpened);
+  EXPECT_EQ(builder.feed(rec(15, 0, 2, EventType::kIrqExit)), Step::kKernel);
+  EXPECT_EQ(builder.closed().kind, ActivityKind::kTimerIrq);
+  EXPECT_EQ(builder.closed().depth, 1u);
+  EXPECT_EQ(builder.closed_ordinal(), 1u);
+  EXPECT_EQ(builder.feed(rec(20, 0, 2, EventType::kSyscallExit)), Step::kKernel);
+  EXPECT_EQ(builder.closed().self, 7u);
+  EXPECT_EQ(builder.closed_ordinal(), 0u);
+  EXPECT_FALSE(builder.closed_in_comm());
+
+  // Preemption and comm windows; a kernel entry inside the window is
+  // flagged so write-time consumers can exclude it.
+  builder.feed(rec(30, 0, 2, EventType::kAppMark, mark(trace::AppMark::kBarrierEnter)));
+  builder.feed(rec(31, 0, 2, EventType::kPageFaultEntry));
+  EXPECT_EQ(builder.feed(rec(32, 0, 2, EventType::kPageFaultExit)), Step::kKernel);
+  EXPECT_TRUE(builder.closed_in_comm());
+  builder.feed(rec(40, 0, 2, EventType::kSchedSwitch, trace::pack_switch({2, 9, true})));
+  builder.feed(rec(41, 1, 1, EventType::kSchedSwitch, trace::pack_switch({1, 9, true})));
+  EXPECT_FALSE(builder.quiescent());
+  EXPECT_EQ(builder.feed(rec(50, 1, 9, EventType::kSchedSwitch, trace::pack_switch({9, 2, false}))),
+            Step::kPreemption);
+  EXPECT_EQ(builder.closed().task, 2u);
+  EXPECT_EQ(builder.closed().cpu, 0u);  // where it was preempted
+  EXPECT_EQ(builder.closed().inclusive, 10u);
+  EXPECT_TRUE(builder.closed_in_comm());
+
+  // At the end, dangling windows close in pid order: task 1's preemption,
+  // then task 2's communication window.
+  std::vector<std::string> closes;
+  builder.finish(100, [&](Step step) {
+    closes.push_back(step == Step::kComm
+                         ? "comm " + std::to_string(builder.comm().task) + " " +
+                               std::to_string(builder.comm().start) + ".." +
+                               std::to_string(builder.comm().end)
+                         : "preemption " + std::to_string(builder.closed().task) + " .." +
+                               std::to_string(builder.closed().end));
+  });
+  EXPECT_EQ(closes, (std::vector<std::string>{"preemption 1 ..100", "comm 2 30..100"}));
+  EXPECT_EQ(builder.anomaly(), std::nullopt);
+}
+
+TEST(IntervalBuilder, OfflineDriverThrowsTheMergedOrderFirstAtAnyPool) {
+  // Anomalies on three CPUs and in the task half: the earliest in
+  // (timestamp, cpu, index) order wins, whichever shard finishes first, and
+  // an unclosed entry ranks after every in-stream anomaly.
+  TraceBuilder b(4);
+  b.task(1, "app", true).task(9, "d", false, true);
+  b.ev(0, 100, 1, EventType::kSyscallEntry);  // never closed
+  b.pair(1, 150, 160, 1, EventType::kIrqEntry);
+  b.ev(1, 700, 1, EventType::kIrqExit);  // stray, later
+  b.ev(2, 500, 1, EventType::kSchedSwitch, trace::pack_switch({1, 9, true}));
+  b.ev(3, 500, 1, EventType::kSchedSwitch, trace::pack_switch({1, 9, true}));  // nested
+  b.ev(2, 500, 1, EventType::kIrqExit);  // stray on cpu 2 at the same time: lower cpu
+  const trace::TraceModel model = b.build(1'000);
+  const IntervalAnomaly expected{AnomalyKind::kStrayExit, 2, 1, 1, 500};
+  for (const std::size_t workers : {std::size_t{0}, std::size_t{1}, std::size_t{3}}) {
+    std::optional<ThreadPool> pool;
+    if (workers > 0) pool.emplace(workers);
+    try {
+      build_intervals(model, pool ? &*pool : nullptr);
+      ADD_FAILURE() << "expected AnalysisError";
+    } catch (const AnalysisError& e) {
+      EXPECT_EQ(e.anomaly(), expected) << "workers " << workers << ": " << e.what();
+    }
+  }
 }
 
 }  // namespace

@@ -20,6 +20,8 @@
 #include "noise/index_aggregate.hpp"
 #include "query/engine.hpp"
 #include "serve/catalog.hpp"
+#include "serve/client.hpp"
+#include "serve/server.hpp"
 #include "serve_helpers.hpp"
 #include "trace/osnt_reader.hpp"
 #include "trace/trace_io.hpp"
@@ -498,6 +500,51 @@ TEST(SegmentStore, CatalogRefreshSeesNewlySealedSegments) {
   ASSERT_EQ(entries.size(), store.segments().size());
   EXPECT_EQ(entries.front().name, "seg-000001");
   for (const serve::TraceEntry& e : entries) EXPECT_EQ(e.error, "") << e.name;
+}
+
+TEST(SegmentStore, HardCutSegmentIsATraceErrorAndTheServerSurvives) {
+  // A syscall on cpu 0 stays open for 6 ms against 1 ms segments, so the
+  // store is forced into an overdue-x4 hard cut mid-interval: the segment
+  // before the cut ends with open entries and the one after begins with
+  // unmatched exits. The store directory is also the served catalog, as in
+  // osn-monitord.
+  TempDir dir("monitor_hardcut");
+  const std::string store_dir = dir.path() + "/store";
+  osn::testing::TraceBuilder b(2);
+  b.task(1, "rank0", true);
+  b.ev(0, 100'000, 1, trace::EventType::kSyscallEntry);
+  b.ev(0, 6'000'000, 1, trace::EventType::kSyscallExit);
+  for (TimeNs t = 0; t < 9'000'000; t += 200'000)
+    b.pair(1, t, t + 50'000, 1, trace::EventType::kPageFaultEntry);
+  const trace::TraceModel model = b.build();
+  SegmentStore store(small_segments(store_dir, kNsPerMs), model.meta(), model.tasks());
+  feed(store, model);
+  ASSERT_TRUE(store.ok());
+  ASSERT_GE(store.stats().rotations_forced, 1u);
+  ASSERT_GE(store.segments().size(), 3u);
+
+  serve::ServerOptions opts;
+  opts.dir = store_dir;
+  opts.port = 0;
+  opts.workers = 2;
+  serve::Server server(opts);
+  ASSERT_TRUE(server.start());
+  serve::Client client("127.0.0.1", server.port(), Deadline::after(sec(10)));
+  const auto summary = [&](std::uint64_t id, const std::string& name) {
+    serve::Request req;
+    req.id = id;
+    req.op = serve::Op::kSummary;
+    req.trace = name;
+    return client.call(req, Deadline::after(sec(60)));
+  };
+  const serve::Response tainted = summary(1, "seg-000002");
+  EXPECT_EQ(tainted.error, serve::errc::kTraceError);
+  EXPECT_NE(tainted.message.find("stray exit"), std::string::npos) << tainted.message;
+  EXPECT_EQ(summary(2, "seg-000001").error, serve::errc::kTraceError);  // unclosed at its end
+  const std::string last = store.segments().back().name;
+  const serve::Response clean = summary(3, last.substr(0, last.size() - 5));
+  EXPECT_TRUE(clean.ok) << clean.message;
+  server.stop();
 }
 
 }  // namespace

@@ -287,6 +287,49 @@ TEST(Engine, ChartTimeseriesTopkAreDeterministicAcrossBackends) {
   }
 }
 
+TEST(Engine, CpuPredicateRestartsWindowsReopenedAfterMigration) {
+  // Rank 1 leaves a barrier and resumes from a preemption on cpu 1, then
+  // re-enters / is preempted again on cpu 0. The whole trace pairs cleanly;
+  // cpu 0 alone sees each window opened twice, and must restart the window
+  // rather than fail (or differ from the plain restricted analysis).
+  TempDir dir("query_cpu_subset");
+  osn::testing::TraceBuilder b(2);
+  b.task(1, "rank0", true).task(9, "events/0", false, true);
+  const auto mark = [](trace::AppMark m) { return static_cast<std::uint64_t>(m); };
+  b.ev(0, 100, 1, trace::EventType::kAppMark, mark(trace::AppMark::kBarrierEnter));
+  b.ev(1, 200, 1, trace::EventType::kAppMark, mark(trace::AppMark::kBarrierExit));
+  b.ev(0, 300, 1, trace::EventType::kAppMark, mark(trace::AppMark::kBarrierEnter));
+  b.pair(0, 350, 360, 1, trace::EventType::kIrqEntry);
+  b.ev(0, 400, 1, trace::EventType::kAppMark, mark(trace::AppMark::kBarrierExit));
+  b.ev(0, 500, 1, trace::EventType::kSchedSwitch, trace::pack_switch({1, 9, true}));
+  b.ev(1, 600, 9, trace::EventType::kSchedSwitch, trace::pack_switch({9, 1, false}));
+  b.ev(0, 700, 1, trace::EventType::kSchedSwitch, trace::pack_switch({1, 9, true}));
+  b.ev(0, 800, 9, trace::EventType::kSchedSwitch, trace::pack_switch({9, 1, false}));
+  b.pair(1, 900, 950, 1, trace::EventType::kIrqEntry);
+  const trace::TraceModel model = b.build(1'000);
+  trace::OsntReader reader(write_v3(model, dir, "t"));
+  Engine engine;
+
+  Plan whole;
+  EXPECT_EQ(engine.run(reader, "", whole), ground_truth_summary(model, whole));
+
+  Plan cpu0;
+  cpu0.cpu = 0;
+  std::vector<std::vector<tracebuf::EventRecord>> per_cpu(2);
+  per_cpu[0] = model.cpu_events(0);
+  const trace::TraceModel only0(model.meta(), per_cpu, model.tasks());
+  EXPECT_THROW(noise::NoiseAnalysis{only0}, noise::AnalysisError);
+  noise::AnalysisOptions subset;
+  subset.cpu_subset = true;
+  const noise::NoiseAnalysis restarted(only0, subset);
+  EXPECT_EQ(engine.run(reader, "", cpu0), exporter::summary_json(restarted));
+  // The restarted windows: comm [300, 400) hides the irq, preemption [700, 800).
+  ASSERT_EQ(restarted.intervals().preemption.size(), 1u);
+  EXPECT_EQ(restarted.intervals().preemption[0].start, 700u);
+  ASSERT_EQ(restarted.noise_intervals().size(), 1u);
+  EXPECT_EQ(restarted.noise_intervals()[0].kind, noise::ActivityKind::kPreemption);
+}
+
 TEST(Engine, RejectsUnexecutablePlans) {
   TempDir dir("query_badplans");
   const trace::TraceModel model = serve::testing::make_model();

@@ -126,6 +126,36 @@ TEST(Server, ConcurrentClientsMatchOfflineAnalysis) {
   server.stop();
 }
 
+TEST(Server, UnpairableTraceIsATraceErrorAndTheDaemonKeepsServing) {
+  TempDir dir("server_unpairable");
+  write_trace(make_model(), dir.path(), "t");
+  // A CRC-valid v3 file whose records cannot be paired: a page-fault entry,
+  // its exit, then a second exit. Analysis used to abort the whole daemon.
+  osn::testing::TraceBuilder bad(1);
+  bad.task(1, "rank0", true);
+  bad.pair(0, 100, 200, 1, trace::EventType::kPageFaultEntry);
+  bad.ev(0, 300, 1, trace::EventType::kPageFaultExit);
+  write_trace(bad.build(), dir.path(), "bad");
+
+  Server server(options_for(dir.path()));
+  ASSERT_TRUE(server.start());
+  Client client("127.0.0.1", server.port(), Deadline::after(sec(10)));
+  Request query = summary_request(1);
+  query.trace = "bad";
+  const Response failed = client.call(query, Deadline::after(sec(60)));
+  EXPECT_EQ(failed.error, errc::kTraceError);
+  EXPECT_NE(failed.message.find("stray exit on cpu 0 at 300 ns"), std::string::npos)
+      << failed.message;
+
+  // The same connection, a second client, and a repeat of the bad query.
+  EXPECT_TRUE(client.call(summary_request(2), Deadline::after(sec(60))).ok);
+  Client second("127.0.0.1", server.port(), Deadline::after(sec(10)));
+  EXPECT_TRUE(second.call(summary_request(3), Deadline::after(sec(60))).ok);
+  query.id = 4;
+  EXPECT_EQ(second.call(query, Deadline::after(sec(60))).error, errc::kTraceError);
+  server.stop();
+}
+
 TEST(Server, InfoChartAndListRoundTrip) {
   TempDir dir("server_ops");
   const trace::TraceModel model = make_model();

@@ -5,6 +5,7 @@
 // daemons get killed, and the analysis tooling has to fail with a byte
 // offset, not a core dump.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cstdio>
@@ -40,7 +41,9 @@ TraceModel sample_trace() {
 /// bytes (small chunks so the battery hits many chunk boundaries).
 std::vector<std::uint8_t> v3_bytes(const TraceModel& model, std::size_t chunk_records = 16,
                                    bool finish = true) {
-  const std::string path = ::testing::TempDir() + "/osn_corrupt_tmp.osnt";
+  // Per process: ctest runs each test as its own process, in parallel.
+  const std::string path =
+      ::testing::TempDir() + "/osn_corrupt_tmp_" + std::to_string(::getpid()) + ".osnt";
   {
     OsntStreamWriter writer(path, chunk_records);
     for (const auto& rec : model.merged()) writer.append(rec);

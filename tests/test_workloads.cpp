@@ -271,6 +271,20 @@ TEST(SequoiaProfiles, SacrificialCoreKnobsWork) {
   }
 }
 
+TEST(SequoiaProfiles, AmgRegionsHoldWhenTheRunOutlastsItsDuration) {
+  // Barrier-bounded AMG runs end after a fixed barrier count, so noise can
+  // stretch them far past their nominal 8 s while fault debt keeps accruing
+  // against wall-clock time. These seeds once touched beyond the COW region
+  // and aborted the simulation; the rank program now clamps to the region
+  // capacities it was sized with.
+  for (const std::uint64_t seed : {6164ull, 9046ull, 25028ull}) {
+    SequoiaWorkload wl(SequoiaApp::kAmg, sec(8));
+    const RunResult run = run_workload(wl, seed);
+    EXPECT_GT(run.trace.duration(), sec(12)) << "seed " << seed;
+    EXPECT_EQ(run.trace.validate(), "") << "seed " << seed;
+  }
+}
+
 TEST(SequoiaProfiles, DeterministicRun) {
   SequoiaWorkload a(SequoiaApp::kSphot, sec(1));
   SequoiaWorkload b(SequoiaApp::kSphot, sec(1));

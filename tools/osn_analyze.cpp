@@ -22,9 +22,11 @@
 // infrastructure to drill down into any particular area of interest by
 // simply applying different filters", §III-A) are the --category/--task
 // options.
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <optional>
@@ -371,6 +373,10 @@ int cmd_run(const Args& args) {
     std::fprintf(stderr, "error: cannot write %s\n", out.c_str());
     return 1;
   }
+  if (const auto& anomaly = live_stats.anomaly()) {
+    std::fprintf(stderr, "error: live stream: %s\n", noise::to_string(*anomaly).c_str());
+    return 1;
+  }
 
   std::printf("wrote %s: %llu events over %s\n", out.c_str(),
               static_cast<unsigned long long>(writer.records_written()),
@@ -437,9 +443,50 @@ int cmd_info(const Args& args) {
   return 0;
 }
 
+/// The semantic half of `verify`: streams the records through the analyzer's
+/// IntervalBuilder, so a trace verify passes is a trace analysis can pair.
+/// Prints the first anomaly, naming its chunk (v3), and returns false.
+bool verify_pairing(trace::FileEventSource& source) {
+  const std::vector<trace::ChunkInfo>& chunks = source.reader().chunks();
+  // Per cpu, (chunk, cpu record index of its first record there): locates
+  // any record's chunk, including an entry found unclosed only at the end.
+  std::vector<std::vector<std::pair<std::size_t, std::uint64_t>>> chunk_starts;
+  std::vector<std::uint64_t> cpu_records;
+  std::size_t chunk = 0;
+  std::uint64_t chunk_left = chunks.empty() ? 0 : chunks[0].records;
+  noise::IntervalBuilder builder;
+  source.for_each([&](const tracebuf::EventRecord& rec) {
+    if (builder.anomaly()) return;
+    while (chunk_left == 0 && chunk + 1 < chunks.size()) chunk_left = chunks[++chunk].records;
+    if (chunk_left > 0) --chunk_left;
+    if (rec.cpu >= cpu_records.size()) {
+      cpu_records.resize(rec.cpu + std::size_t{1}, 0);
+      chunk_starts.resize(rec.cpu + std::size_t{1});
+    }
+    auto& starts = chunk_starts[rec.cpu];
+    if (starts.empty() || starts.back().first != chunk)
+      starts.emplace_back(chunk, cpu_records[rec.cpu]);
+    ++cpu_records[rec.cpu];
+    builder.feed(rec);
+  });
+  builder.finish(source.meta().end_ns, [](noise::IntervalBuilder::Step) {});
+  const std::optional<noise::IntervalAnomaly>& anomaly = builder.anomaly();
+  if (!anomaly) return true;
+  if (chunks.empty()) {
+    std::printf("ISSUE: %s\n", noise::to_string(*anomaly).c_str());
+    return false;
+  }
+  const auto& starts = chunk_starts[anomaly->cpu];
+  const auto at = std::upper_bound(
+      starts.begin(), starts.end(), anomaly->index,
+      [](std::uint64_t index, const auto& start) { return index < start.second; });
+  std::printf("ISSUE chunk %zu: %s\n", std::prev(at)->first, noise::to_string(*anomaly).c_str());
+  return false;
+}
+
 int cmd_verify(const Args& args) {
-  trace::OsntReader reader(trace_path(args), io_mode(args));
-  const trace::VerifyReport report = reader.verify();
+  trace::FileEventSource source(trace_path(args), io_mode(args));
+  const trace::VerifyReport report = source.reader().verify();
   std::printf("format:    OSNT v%u\n", report.version);
   if (report.version == 3)
     std::printf("chunks:    %zu\n", report.chunks);
@@ -457,12 +504,17 @@ int cmd_verify(const Args& args) {
                   static_cast<long long>(issue.chunk),
                   static_cast<unsigned long long>(issue.offset), issue.problem.c_str());
   }
-  if (report.intact()) {
-    std::printf("verify:    OK%s\n", report.clean() ? "" : " (incomplete but consistent)");
-    return 0;
+  if (!report.intact()) {
+    std::printf("verify:    %zu issue(s) found\n", report.issues.size());
+    return 1;
   }
-  std::printf("verify:    %zu issue(s) found\n", report.issues.size());
-  return 1;
+  // Structure is sound; now the records must pair the way analysis needs.
+  if (!verify_pairing(source)) {
+    std::printf("verify:    1 issue(s) found\n");
+    return 1;
+  }
+  std::printf("verify:    OK%s\n", report.clean() ? "" : " (incomplete but consistent)");
+  return 0;
 }
 
 int cmd_stats(const Args& args) {
@@ -897,6 +949,10 @@ int main(int argc, char** argv) {
     if (cmd == "diff") return cmd_diff(args);
     if (cmd == "scalability") return cmd_scalability(args);
   } catch (const trace::TraceReadError& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
+  } catch (const noise::AnalysisError& e) {
+    // A trace whose records cannot be paired is input, not a crash.
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
   }
