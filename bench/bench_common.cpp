@@ -19,9 +19,11 @@ std::uint64_t bench_seed() {
 
 trace::TraceModel sequoia_trace(workloads::SequoiaApp app) {
   ::mkdir("bench_cache", 0755);
+  // The ".v3" tag keeps a cache file written in an older layout from ever
+  // being opened.
   const std::string path = "bench_cache/" + workloads::app_name(app) + "_" +
                            std::to_string(bench_seconds()) + "s_seed" +
-                           std::to_string(bench_seed()) + ".osnt";
+                           std::to_string(bench_seed()) + ".v3.osnt";
   if (std::FILE* f = std::fopen(path.c_str(), "rb")) {
     std::fclose(f);
     std::fprintf(stderr, "[cache] %s\n", path.c_str());

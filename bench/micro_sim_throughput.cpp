@@ -1,10 +1,9 @@
-// Infrastructure micro-benchmarks: discrete-event engine, interval building,
-// full analysis, and trace encode/decode throughput.
+// Infrastructure micro-benchmarks: discrete-event engine, interval building
+// and full analysis. Trace decode throughput lives in micro_trace_decode.
 #include <benchmark/benchmark.h>
 
 #include "noise/analysis.hpp"
 #include "sim/engine.hpp"
-#include "trace/trace_io.hpp"
 #include "workloads/ftq.hpp"
 #include "workloads/workload.hpp"
 
@@ -83,24 +82,6 @@ void BM_FullAnalysis(benchmark::State& state) {
                           static_cast<std::int64_t>(run.trace.total_events()));
 }
 BENCHMARK(BM_FullAnalysis)->Unit(benchmark::kMillisecond);
-
-void BM_TraceSerialize(benchmark::State& state) {
-  const auto& run = cached_ftq_run();
-  for (auto _ : state)
-    benchmark::DoNotOptimize(trace::serialize_trace(run.trace).size());
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(run.trace.total_events()));
-}
-BENCHMARK(BM_TraceSerialize)->Unit(benchmark::kMillisecond);
-
-void BM_TraceDeserialize(benchmark::State& state) {
-  const auto bytes = trace::serialize_trace(cached_ftq_run().trace);
-  for (auto _ : state)
-    benchmark::DoNotOptimize(trace::deserialize_trace(bytes).total_events());
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(cached_ftq_run().trace.total_events()));
-}
-BENCHMARK(BM_TraceDeserialize)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

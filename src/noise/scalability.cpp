@@ -11,7 +11,7 @@ NoiseProfile NoiseProfile::from_analysis(const NoiseAnalysis& analysis,
                                          const std::vector<NoiseCategory>& absorbed) {
   NoiseProfile p;
   const auto ranks = analysis.model().app_pids();
-  OSN_ASSERT_MSG(!ranks.empty(), "profile needs application ranks");
+  if (ranks.empty()) throw ProfileError("trace has no application ranks to profile");
   double total_ns = 0;
   for (const Interval& iv : analysis.noise_intervals()) {
     if (std::find(absorbed.begin(), absorbed.end(), categorize(iv.kind)) != absorbed.end())

@@ -21,12 +21,20 @@
 #pragma once
 
 #include <cstdint>
+#include <stdexcept>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "noise/analysis.hpp"
 
 namespace osn::noise {
+
+/// The trace cannot yield a per-rank profile (it has no application ranks).
+/// Input, not a programming error: the CLI reports it and exits 1.
+class ProfileError : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
 
 /// The measured per-rank noise process, reduced to what extrapolation needs:
 /// event rate and the empirical duration distribution (charged ns).
@@ -37,7 +45,8 @@ struct NoiseProfile {
   double noise_fraction = 0;        ///< share of rank time lost to noise
 
   /// Extracts the profile from an analysis (noise intervals of all ranks,
-  /// normalized per rank), leaving out the `absorbed` categories.
+  /// normalized per rank), leaving out the `absorbed` categories. Throws
+  /// ProfileError when the trace has no application ranks.
   static NoiseProfile from_analysis(const NoiseAnalysis& analysis,
                                     const std::vector<NoiseCategory>& absorbed = {});
 };

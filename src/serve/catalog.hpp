@@ -5,7 +5,8 @@
 // them (the v3 footer index makes that O(index), not O(trace)), files whose
 // size or mtime changed are re-opened, vanished files are dropped, and
 // unreadable files stay listed with their error so clients can see *why* a
-// trace is unusable instead of it silently missing.
+// trace is unusable instead of it silently missing (a legacy v1/v2 file, for
+// one, is listed with the `osn-analyze upgrade` hint the reader throws).
 //
 // open() hands out a Lease: a shared_ptr to the (thread-safe) OsntReader
 // plus the entry's identity stamp. Readers are shared across concurrent
@@ -39,9 +40,8 @@ struct TraceEntry {
   std::string error;          ///< non-empty: file present but unusable
 
   // Valid only when error is empty.
-  std::uint32_t version = 0;
   bool truncated = false;
-  std::uint64_t records = 0;  ///< indexed records (0 for v1/v2)
+  std::uint64_t records = 0;  ///< indexed records
   std::size_t chunks = 0;
   std::string workload;
   TimeNs start_ns = 0;

@@ -309,6 +309,47 @@ bool op_takes_trace(Op op) {
          op == Op::kWindow || op == Op::kTimeseries || op == Op::kTopK;
 }
 
+/// The semantic bounds of a request, shared by both wires: each parser
+/// decodes its fields, then calls this, so the bounds and their error
+/// strings are identical by construction. `cpu` is the decoded cpu field
+/// before narrowing to CpuId; `req.stall` arrives uncapped.
+bool validate_request(Request& req, std::optional<std::uint64_t> cpu, std::string& error) {
+  if (op_takes_trace(req.op) && req.trace.empty()) {
+    error = std::string(op_name(req.op)) + " requires a trace name";
+    return false;
+  }
+  // NaN fails the comparison, so it is refused too.
+  if (req.has_window && (!(req.window_to_ms > req.window_from_ms) || req.window_from_ms < 0)) {
+    error = "window requires 0 <= from_ms < to_ms";
+    return false;
+  }
+  if (req.op == Op::kWindow && !req.has_window) {
+    error = "window op requires a window field";
+    return false;
+  }
+  // The bound keeps quantum_us * kNsPerUs from wrapping (a wrapped quantum
+  // of 0 would make the chart bucket division a SIGFPE).
+  if (req.quantum_us == 0 || req.quantum_us > kTimeInfinity / kNsPerUs) {
+    error = "quantum_us out of range";
+    return false;
+  }
+  if (cpu.has_value()) {
+    // CpuId is 16-bit; anything wider can never match a record.
+    if (*cpu > 0xFFFF) {
+      error = "cpu out of range";
+      return false;
+    }
+    req.cpu = static_cast<CpuId>(*cpu);
+  }
+  if (req.k == 0 || req.k > 65536) {
+    error = "k out of range";
+    return false;
+  }
+  // A load-test stall must not be able to park a worker for minutes.
+  req.stall = std::min<DurNs>(req.stall, 10'000 * kNsPerMs);
+  return true;
+}
+
 bool get_u64_field(const JsonValue& root, const char* key, std::uint64_t& out,
                    std::string& error) {
   const JsonValue* v = root.find(key);
@@ -355,10 +396,6 @@ std::optional<Request> parse_request(const std::string& line, std::string& error
     }
     req.trace = trace->string;
   }
-  if (op_takes_trace(req.op) && req.trace.empty()) {
-    error = std::string(op_name(req.op)) + " requires a trace name";
-    return std::nullopt;
-  }
 
   if (const JsonValue* window = root->find("window"); window != nullptr) {
     if (window->kind != JsonValue::Kind::kArray || window->array.size() != 2 ||
@@ -368,15 +405,7 @@ std::optional<Request> parse_request(const std::string& line, std::string& error
     }
     req.window_from_ms = window->array[0].number;
     req.window_to_ms = window->array[1].number;
-    if (!(req.window_to_ms > req.window_from_ms) || req.window_from_ms < 0) {
-      error = "window requires 0 <= from_ms < to_ms";
-      return std::nullopt;
-    }
     req.has_window = true;
-  }
-  if (req.op == Op::kWindow && !req.has_window) {
-    error = "window op requires a window field";
-    return std::nullopt;
   }
 
   std::uint64_t task = 0;
@@ -385,23 +414,11 @@ std::optional<Request> parse_request(const std::string& line, std::string& error
   if (had_task) req.task = static_cast<Pid>(task);
 
   if (!get_u64_field(*root, "quantum_us", req.quantum_us, error)) return std::nullopt;
-  // The bound keeps quantum_us * kNsPerUs from wrapping (a wrapped quantum
-  // of 0 would make the chart bucket division a SIGFPE).
-  if (req.quantum_us == 0 || req.quantum_us > kTimeInfinity / kNsPerUs) {
-    error = "quantum_us out of range";
-    return std::nullopt;
-  }
 
-  std::uint64_t cpu = 0;
-  const bool had_cpu = root->find("cpu") != nullptr;
-  if (!get_u64_field(*root, "cpu", cpu, error)) return std::nullopt;
-  if (had_cpu) {
-    // CpuId is 16-bit; anything wider can never match a record.
-    if (cpu > 0xFFFF) {
-      error = "cpu out of range";
-      return std::nullopt;
-    }
-    req.cpu = static_cast<CpuId>(cpu);
+  std::optional<std::uint64_t> cpu;
+  if (root->find("cpu") != nullptr) {
+    cpu.emplace(0);
+    if (!get_u64_field(*root, "cpu", *cpu, error)) return std::nullopt;
   }
 
   if (const JsonValue* activity = root->find("activity"); activity != nullptr) {
@@ -413,10 +430,6 @@ std::optional<Request> parse_request(const std::string& line, std::string& error
   }
 
   if (!get_u64_field(*root, "k", req.k, error)) return std::nullopt;
-  if (req.k == 0 || req.k > 65536) {
-    error = "k out of range";
-    return std::nullopt;
-  }
 
   std::uint64_t deadline_ms = 0;
   const bool had_deadline = root->find("deadline_ms") != nullptr;
@@ -429,8 +442,9 @@ std::optional<Request> parse_request(const std::string& line, std::string& error
 
   std::uint64_t stall_ms = 0;
   if (!get_u64_field(*root, "stall_ms", stall_ms, error)) return std::nullopt;
-  req.stall = std::min<std::uint64_t>(stall_ms, 10'000) * kNsPerMs;
+  req.stall = stall_ms > kTimeInfinity / kNsPerMs ? kTimeInfinity : stall_ms * kNsPerMs;
 
+  if (!validate_request(req, cpu, error)) return std::nullopt;
   return req;
 }
 
@@ -631,10 +645,6 @@ std::optional<Request> parse_request_osnb(const std::string& frame,
     error = "truncated trace field";
     return std::nullopt;
   }
-  if (op_takes_trace(req.op) && req.trace.empty()) {
-    error = std::string(op_name(req.op)) + " requires a trace name";
-    return std::nullopt;
-  }
 
   if ((flags & kFlagWindow) != 0) {
     if (!get_f64(frame, pos, req.window_from_ms) ||
@@ -642,16 +652,7 @@ std::optional<Request> parse_request_osnb(const std::string& frame,
       error = "truncated window field";
       return std::nullopt;
     }
-    // Same semantic bound as the JSON reader (NaN fails the comparison).
-    if (!(req.window_to_ms > req.window_from_ms) || req.window_from_ms < 0) {
-      error = "window requires 0 <= from_ms < to_ms";
-      return std::nullopt;
-    }
     req.has_window = true;
-  }
-  if (req.op == Op::kWindow && !req.has_window) {
-    error = "window op requires a window field";
-    return std::nullopt;
   }
 
   if ((flags & kFlagTask) != 0) {
@@ -667,22 +668,14 @@ std::optional<Request> parse_request_osnb(const std::string& frame,
     error = "truncated quantum_us field";
     return std::nullopt;
   }
-  if (req.quantum_us == 0 || req.quantum_us > kTimeInfinity / kNsPerUs) {
-    error = "quantum_us out of range";
-    return std::nullopt;
-  }
 
+  std::optional<std::uint64_t> cpu;
   if ((flags & kFlagCpu) != 0) {
-    std::uint64_t cpu = 0;
-    if (!get_varint(frame, pos, cpu)) {
+    cpu.emplace(0);
+    if (!get_varint(frame, pos, *cpu)) {
       error = "truncated cpu field";
       return std::nullopt;
     }
-    if (cpu > 0xFFFF) {
-      error = "cpu out of range";
-      return std::nullopt;
-    }
-    req.cpu = static_cast<CpuId>(cpu);
   }
 
   if (!get_bytes(frame, pos, req.activity)) {
@@ -692,10 +685,6 @@ std::optional<Request> parse_request_osnb(const std::string& frame,
 
   if (!get_varint(frame, pos, req.k)) {
     error = "truncated k field";
-    return std::nullopt;
-  }
-  if (req.k == 0 || req.k > 65536) {
-    error = "k out of range";
     return std::nullopt;
   }
 
@@ -708,19 +697,16 @@ std::optional<Request> parse_request_osnb(const std::string& frame,
     req.deadline = deadline_ns;
   }
 
-  std::uint64_t stall_ns = 0;
-  if (!get_varint(frame, pos, stall_ns)) {
+  if (!get_varint(frame, pos, req.stall)) {
     error = "truncated stall field";
     return std::nullopt;
   }
-  // Same cap the JSON reader applies to stall_ms: a load-test stall must not
-  // be able to park a worker for minutes.
-  req.stall = std::min<std::uint64_t>(stall_ns, 10'000 * kNsPerMs);
 
   if (pos != frame.size()) {
     error = "trailing bytes after request";
     return std::nullopt;
   }
+  if (!validate_request(req, cpu, error)) return std::nullopt;
   return req;
 }
 

@@ -45,7 +45,7 @@ std::string list_payload(const QueryContext& ctx) {
     if (!e.usable()) {
       append_field(out, "error", e.error);
     } else {
-      append_field(out, "version", e.version);
+      append_field(out, "version", trace::kOsntVersion);
       out += "      \"truncated\": ";
       out += e.truncated ? "true" : "false";
       out += ",\n";
@@ -69,7 +69,7 @@ std::string info_payload(const Lease& lease) {
   out += "  \"name\": \"";
   out += exporter::json_escape(lease.entry.name);
   out += "\",\n  \"version\": ";
-  out += std::to_string(reader.version());
+  out += std::to_string(trace::kOsntVersion);
   out += ",\n  \"truncated\": ";
   out += reader.truncated() ? "true" : "false";
   out += ",\n  \"index_recovered\": ";

@@ -15,10 +15,9 @@
 
 namespace osn::trace::osnt {
 
-constexpr std::uint32_t kMagic = 0x544e534f;    // "OSNT" little-endian
-constexpr std::uint32_t kVersionWhole = 1;      // whole-trace layout
-constexpr std::uint32_t kVersionStream = 2;     // chunked stream + footer
-constexpr std::uint32_t kVersionChunked = 3;    // chunk-indexed + CRC + trailer
+constexpr std::uint32_t kMagic = 0x544e534f;  // "OSNT" little-endian
+// The version varint that follows is trace::kOsntVersion (osnt_reader.hpp);
+// 1 and 2 are the legacy layouts only deserialize_trace decodes.
 
 // v3 fixed-width trailer: u64 index_offset, u64 footer_offset, u32 flags,
 // u32 trailer magic — the only fixed-width region, so the reader can find
@@ -38,8 +37,8 @@ constexpr std::uint32_t kAggMagic = 0x414e534f;  // "OSNA" little-endian
 void put_string(std::vector<std::uint8_t>& out, const std::string& s);
 std::string get_string(const std::uint8_t* buf, std::size_t size, std::size_t& pos);
 
-/// Shared footer/header fields of all layouts: node metadata + task table +
-/// (v2/v3) drain counters.
+/// Footer fields shared with the legacy layouts: node metadata + task table
+/// + (v2/v3) drain counters.
 void put_meta_and_tasks(std::vector<std::uint8_t>& out, const TraceMeta& meta,
                         const std::map<Pid, TaskInfo>& tasks);
 void get_meta_and_tasks(const std::uint8_t* buf, std::size_t size, std::size_t& pos,

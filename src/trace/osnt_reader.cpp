@@ -19,7 +19,7 @@ namespace osn::trace {
 
 namespace {
 
-/// Largest cpu id any layout accepts (matches the v2 reader's bound).
+/// Largest cpu id the layout accepts.
 constexpr std::uint64_t kMaxCpus = 65536;
 
 /// Cap on the footer region a recovery scan will materialize in pread mode.
@@ -208,17 +208,11 @@ void OsntReader::open_and_index() {
     throw TraceReadError("bad magic: not an OSNT trace", 0);
   const std::uint64_t version = get_varint(head, static_cast<std::size_t>(head_len), pos);
   data_begin_ = pos;
-  if (version != osnt::kVersionWhole && version != osnt::kVersionStream &&
-      version != osnt::kVersionChunked)
-    throw TraceReadError("unsupported OSNT version", pos);
-  version_ = static_cast<std::uint32_t>(version);
-
-  if (version_ != osnt::kVersionChunked) {
-    // v1/v2 compatibility shim: whole-file decode caches the model and the
-    // footer metadata.
-    ensure_legacy_model();
-    return;
-  }
+  if (version >= 1 && version < kOsntVersion)
+    throw TraceReadError("OSNT v" + std::to_string(version) +
+                             " file: convert it with `osn-analyze upgrade IN OUT`",
+                         pos);
+  if (version != kOsntVersion) throw TraceReadError("unsupported OSNT version", pos);
   if (!parse_trailer_and_index()) {
     chunks_.clear();
     index_summary_.reset();
@@ -464,19 +458,6 @@ void OsntReader::synthesize_truncated_meta() {
   meta_.end_ns = chunks_.empty() ? 0 : chunks_.back().t_last + 1;
 }
 
-// Caller holds mutex_ (except during single-threaded construction).
-void OsntReader::ensure_legacy_model() {
-  if (legacy_.has_value()) return;
-  // Zero-copy when a mapping or buffer backs the reader; pread mode
-  // materializes the file once into scratch (the v1/v2 layouts are not
-  // seekable, so a windowed parse is not possible).
-  std::vector<std::uint8_t> scratch;
-  const std::uint8_t* all = view_at(0, size_, scratch);
-  legacy_ = deserialize_trace(all, static_cast<std::size_t>(size_));
-  meta_ = legacy_->meta();
-  tasks_ = legacy_->tasks();
-}
-
 std::uint64_t OsntReader::indexed_records() const {
   std::uint64_t n = 0;
   for (const ChunkInfo& c : chunks_) n += c.records;
@@ -519,6 +500,19 @@ std::vector<tracebuf::EventRecord> OsntReader::decode_chunk(std::size_t i) const
 }
 
 namespace {
+
+/// Widens a truncated file's synthesized meta to the streams a read decoded
+/// (a cpu past the index's 63-bit mask, records past the last chunk's
+/// t_last). Only the returned model sees this; the reader's meta() stays as
+/// opened, so concurrent readers never observe it change.
+void refine_truncated_meta(TraceMeta& meta,
+                           const std::vector<std::vector<tracebuf::EventRecord>>& per_cpu) {
+  TimeNs last_seen = 0;
+  for (const auto& stream : per_cpu)
+    if (!stream.empty()) last_seen = std::max(last_seen, stream.back().timestamp);
+  meta.n_cpus = static_cast<std::uint16_t>(per_cpu.size());
+  meta.end_ns = std::max(meta.end_ns, last_seen + 1);
+}
 
 /// Pre-faults a freshly reserved output buffer in one batched syscall.
 /// Faulting 38 MB of model storage one page-trap at a time costs more than
@@ -596,12 +590,8 @@ void decode_chunk_into(const std::uint8_t* body, std::size_t len, std::uint64_t 
 
 }  // namespace
 
-TraceModel OsntReader::read_all_direct() {
-  TraceMeta meta;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    meta = meta_;
-  }
+TraceModel OsntReader::read_all_direct() const {
+  TraceMeta meta = meta_;
   const std::size_t cpu_bound = decode_cpu_bound();
 
   // A full read touches every chunk byte twice; fault the mapping in bulk
@@ -669,15 +659,7 @@ TraceModel OsntReader::read_all_direct() {
                       prev_ts, last_ts, per_cpu);
   }
 
-  if (truncated_) {
-    TimeNs last_seen = 0;
-    for (const auto& stream : per_cpu)
-      if (!stream.empty()) last_seen = std::max(last_seen, stream.back().timestamp);
-    meta.n_cpus = static_cast<std::uint16_t>(n_cpus);
-    meta.end_ns = std::max(meta.end_ns, last_seen + 1);
-    std::lock_guard<std::mutex> lock(mutex_);
-    meta_ = meta;
-  }
+  if (truncated_) refine_truncated_meta(meta, per_cpu);
   return TraceModel(std::move(meta), std::move(per_cpu), tasks_);
 }
 
@@ -711,13 +693,9 @@ std::vector<std::vector<tracebuf::EventRecord>> decode_chunks(
 
 TraceModel OsntReader::assemble(std::vector<std::vector<tracebuf::EventRecord>> chunk_records,
                                 const std::vector<std::size_t>& chunk_ids,
-                                ThreadPool* pool) {
+                                ThreadPool* pool) const {
   const std::size_t n_chunks = chunk_records.size();
-  TraceMeta meta;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    meta = meta_;
-  }
+  TraceMeta meta = meta_;
 
   // Pass 1, parallel over chunks: split each chunk's merged stream into
   // per-CPU buckets, so the concatenation pass below only ever touches its
@@ -789,26 +767,11 @@ TraceModel OsntReader::assemble(std::vector<std::vector<tracebuf::EventRecord>> 
   for (const auto& err : errors)
     if (err) std::rethrow_exception(err);
 
-  if (truncated_) {
-    TimeNs last_seen = 0;
-    for (const auto& stream : per_cpu)
-      if (!stream.empty()) last_seen = std::max(last_seen, stream.back().timestamp);
-    meta.n_cpus = static_cast<std::uint16_t>(n_cpus);
-    meta.end_ns = std::max(meta.end_ns, last_seen + 1);
-    std::lock_guard<std::mutex> lock(mutex_);
-    meta_ = meta;
-  }
+  if (truncated_) refine_truncated_meta(meta, per_cpu);
   return TraceModel(std::move(meta), std::move(per_cpu), tasks_);
 }
 
-TraceModel OsntReader::read_all(ThreadPool* pool) {
-  if (version_ != osnt::kVersionChunked) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ensure_legacy_model();
-    TraceModel model = std::move(*legacy_);
-    legacy_.reset();
-    return model;
-  }
+TraceModel OsntReader::read_all(ThreadPool* pool) const {
   // Without a pool (or with a single chunk) the direct path wins: it avoids
   // the merged-per-chunk intermediates and the bucket/concatenate copies the
   // parallel assemble needs. Both paths produce bit-identical models.
@@ -822,7 +785,7 @@ TraceModel OsntReader::read_all(ThreadPool* pool) {
 
 std::pair<std::size_t, std::size_t> OsntReader::window_chunk_range(TimeNs t0,
                                                                    TimeNs t1) const {
-  if (version_ != osnt::kVersionChunked || t1 <= t0 || chunks_.empty()) return {0, 0};
+  if (t1 <= t0 || chunks_.empty()) return {0, 0};
   // Chunks slice the global merged stream, so their time ranges are sorted:
   // binary-search the first chunk that can reach t0, walk to the last whose
   // t_first is below t1.
@@ -834,9 +797,8 @@ std::pair<std::size_t, std::size_t> OsntReader::window_chunk_range(TimeNs t0,
           static_cast<std::size_t>(last - chunks_.begin())};
 }
 
-TraceModel OsntReader::read_chunks(const std::vector<std::size_t>& ids, ThreadPool* pool) {
-  if (version_ != osnt::kVersionChunked)
-    throw TraceReadError("read_chunks requires a chunk-indexed file", 0);
+TraceModel OsntReader::read_chunks(const std::vector<std::size_t>& ids,
+                                   ThreadPool* pool) const {
   for (std::size_t i = 0; i < ids.size(); ++i)
     if (ids[i] >= chunks_.size() || (i > 0 && ids[i] <= ids[i - 1]))
       throw TraceReadError("chunk ids must be strictly increasing and in range", 0);
@@ -845,27 +807,15 @@ TraceModel OsntReader::read_chunks(const std::vector<std::size_t>& ids, ThreadPo
   return assemble(std::move(decoded), ids, pool);
 }
 
-TraceModel OsntReader::read_window(TimeNs t0, TimeNs t1, ThreadPool* pool) {
-  if (version_ != osnt::kVersionChunked) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ensure_legacy_model();
-    return window_of(*legacy_, t0, t1);
-  }
+TraceModel OsntReader::read_window(TimeNs t0, TimeNs t1, ThreadPool* pool) const {
   const auto [first, last] = window_chunk_range(t0, t1);
   std::vector<std::size_t> ids(last - first);
   for (std::size_t i = 0; i < ids.size(); ++i) ids[i] = first + i;
   return window_of(read_chunks(ids, pool), t0, t1);
 }
 
-void OsntReader::for_each(const std::function<void(const tracebuf::EventRecord&)>& fn) {
-  if (version_ != osnt::kVersionChunked) {
-    // The callback runs under the lock: cheap, and it keeps a concurrent
-    // read_all from moving the model out from under the iteration.
-    std::lock_guard<std::mutex> lock(mutex_);
-    ensure_legacy_model();
-    for (const auto& rec : legacy_->merged()) fn(rec);
-    return;
-  }
+void OsntReader::for_each(
+    const std::function<void(const tracebuf::EventRecord&)>& fn) const {
   std::vector<TimeNs> last_ts;
   for (std::size_t i = 0; i < chunks_.size(); ++i) {
     const auto records = decode_chunk(i);
@@ -884,28 +834,12 @@ void OsntReader::for_each(const std::function<void(const tracebuf::EventRecord&)
 // Verification
 // ---------------------------------------------------------------------------
 
-VerifyReport OsntReader::verify() {
+VerifyReport OsntReader::verify() const {
   VerifyReport report;
-  report.version = version_;
   report.truncated = truncated_;
   report.index_recovered = index_recovered_;
   report.issues = open_issues_;
   report.chunks = chunks_.size();
-
-  if (version_ != osnt::kVersionChunked) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    try {
-      ensure_legacy_model();
-      report.records = legacy_->total_events();
-      const std::string problem = legacy_->validate();
-      if (!problem.empty())
-        report.issues.push_back(ChunkIssue{TraceReadError::kNoChunk, 0, problem});
-    } catch (const TraceReadError& e) {
-      report.issues.push_back(
-          ChunkIssue{TraceReadError::kNoChunk, e.byte_offset(), e.what()});
-    }
-    return report;
-  }
 
   std::vector<TimeNs> last_ts;
   for (std::size_t i = 0; i < chunks_.size(); ++i) {

@@ -29,24 +29,23 @@
 // needs O(chunk) memory. Buffer-backed readers (owned or borrowed) are
 // always zero-copy.
 //
-// v1/v2 files are served through a compatibility shim (whole-file decode via
-// deserialize_trace) with identical results — callers never dispatch on the
-// version themselves. All input errors throw trace::TraceReadError.
+// v3 is the only layout served. A v1/v2 file is refused at open with a
+// TraceReadError naming the one conversion path, `osn-analyze upgrade IN
+// OUT` (deserialize_trace in trace_io.hpp holds the legacy decoders). All
+// input errors throw trace::TraceReadError.
 //
-// Thread safety: after construction, read_all / read_window / for_each /
-// verify may be called concurrently from multiple threads on one reader (the
-// query server's workers share a reader per catalog entry). v3 decoding is
-// naturally concurrent — chunks are read from the immutable mapping (or with
-// pread into local scratch) and all index state is immutable after open —
-// while the v1/v2 shim and the truncated-file metadata refinement serialize
-// on an internal mutex.
+// Thread safety: the reader is immutable after construction, so every const
+// member may be called concurrently from multiple threads on one reader (the
+// query server's workers share a reader per catalog entry). Chunks are read
+// from the immutable mapping (or with pread into local scratch), and the
+// metadata of a truncated file is refined only in the models a read
+// returns — meta() never changes after open.
 #pragma once
 
 #include <cstdint>
 #include <cstdio>
 #include <functional>
 #include <map>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <utility>
@@ -59,6 +58,9 @@
 #include "trace/trace_model.hpp"
 
 namespace osn::trace {
+
+/// The OSNT layout version the writer emits and the reader serves.
+inline constexpr std::uint32_t kOsntVersion = 3;
 
 /// One entry of the v3 footer index.
 struct ChunkInfo {
@@ -78,7 +80,6 @@ struct ChunkIssue {
 
 /// Result of verify(): structural + integrity findings, no model built.
 struct VerifyReport {
-  std::uint32_t version = 0;
   bool truncated = false;        ///< truncation sentinel (writer died before finish())
   bool index_recovered = false;  ///< trailer/index damaged; rebuilt by forward scan
   std::size_t chunks = 0;        ///< chunks checked
@@ -101,9 +102,9 @@ class OsntReader {
   /// The strategy actually in effect after construction.
   enum class IoBackend { kMmap, kPread, kBuffer };
 
-  /// Opens and indexes a trace file (any OSNT version). Throws
-  /// TraceReadError when the file cannot be opened or the header/index is
-  /// unusable.
+  /// Opens and indexes a v3 trace file. Throws TraceReadError when the file
+  /// cannot be opened, is a v1/v2 file (the message names `osn-analyze
+  /// upgrade`), or the header/index is unusable.
   explicit OsntReader(const std::string& path, IoMode mode = IoMode::kAuto);
   /// In-memory variant over a serialized buffer (tests, network payloads).
   explicit OsntReader(std::vector<std::uint8_t> bytes);
@@ -115,65 +116,64 @@ class OsntReader {
   OsntReader(const OsntReader&) = delete;
   OsntReader& operator=(const OsntReader&) = delete;
 
-  std::uint32_t version() const { return version_; }
   bool truncated() const { return truncated_; }
   bool index_recovered() const { return index_recovered_; }
   IoBackend io_backend() const { return backend_; }
-  /// v3 chunk index (rebuilt by scan when damaged); empty for v1/v2.
+  /// Chunk index (rebuilt by scan when damaged).
   const std::vector<ChunkInfo>& chunks() const { return chunks_; }
   std::uint64_t indexed_records() const;
 
-  /// The file's pre-aggregate block, when present and intact (v3 files
-  /// written with a ChunkAggregator). nullopt for v1/v2 files, files written
-  /// without an aggregator, truncated files, recovered indexes, and files
+  /// The file's pre-aggregate block, when present and intact (files written
+  /// with a ChunkAggregator). nullopt for files written without an
+  /// aggregator, truncated files, recovered indexes, and files
   /// whose aggregate block failed its CRC or structural checks (the damage
   /// is reported through verify()) — callers fall back to record decode.
   const std::optional<IndexSummary>& index_summary() const { return index_summary_; }
 
-  /// Trace metadata/tasks from the footer. For truncated v3 files the footer
-  /// is missing: meta is synthesized best-effort from the chunk index
-  /// (workload "(truncated)", window covering the flushed records) and the
-  /// task table is empty.
+  /// Trace metadata/tasks from the footer. For truncated files the footer is
+  /// missing: meta is synthesized best-effort from the chunk index (workload
+  /// "(truncated)", window covering the flushed records) and the task table
+  /// is empty. A decoded model of a truncated file may widen n_cpus/end_ns
+  /// to the records it holds; meta() itself stays as opened.
   const TraceMeta& meta() const { return meta_; }
   const std::map<Pid, TaskInfo>& tasks() const { return tasks_; }
 
-  /// Decodes the whole trace. With a pool, v3 chunks decode in parallel;
-  /// the result is bit-identical at any worker count.
-  TraceModel read_all(ThreadPool* pool = nullptr);
+  /// Decodes the whole trace. With a pool, chunks decode in parallel; the
+  /// result is bit-identical at any worker count.
+  TraceModel read_all(ThreadPool* pool = nullptr) const;
 
-  /// Decodes only the records with t0 <= timestamp < t1. For v3 this touches
-  /// only the chunks whose index time range overlaps the window (binary
-  /// search on t_first); v1/v2 fall back to a full decode + filter. Kernel
+  /// Decodes only the records with t0 <= timestamp < t1, touching only the
+  /// chunks whose index time range overlaps the window (binary search on
+  /// t_first). Kernel
   /// entry/exit frames cut by the window edges are repaired (unmatched exits
   /// at the head and unclosed entries at the tail are dropped) so the model
   /// keeps the analyzer's pairing invariants; meta start/end are clamped to
   /// the window.
-  TraceModel read_window(TimeNs t0, TimeNs t1, ThreadPool* pool = nullptr);
+  TraceModel read_window(TimeNs t0, TimeNs t1, ThreadPool* pool = nullptr) const;
 
-  /// The contiguous [first, last) range of v3 chunks whose index time span
+  /// The contiguous [first, last) range of chunks whose index time span
   /// overlaps [t0, t1) — exactly the set read_window() decodes. Returns
-  /// (0, 0) for v1/v2 files and for empty windows.
+  /// (0, 0) for empty windows.
   std::pair<std::size_t, std::size_t> window_chunk_range(TimeNs t0, TimeNs t1) const;
 
   /// Decodes and assembles an explicit set of chunks (ids strictly
   /// increasing) into a model carrying the full-trace meta (no window
-  /// clamping). v3 only; throws TraceReadError for legacy files or
-  /// out-of-range ids. read_window(t0, t1) is exactly
+  /// clamping). Throws TraceReadError for out-of-range ids. read_window(t0, t1) is exactly
   /// window_of(read_chunks(window_chunk_range(t0, t1)), t0, t1) bit for bit
   /// — the identity the query engine's chunk-range model cache relies on.
   /// The engine also passes mask-pruned subsets: dropping chunks whose
   /// cpu_mask lacks a cpu leaves that cpu's stream untouched.
-  TraceModel read_chunks(const std::vector<std::size_t>& ids, ThreadPool* pool = nullptr);
+  TraceModel read_chunks(const std::vector<std::size_t>& ids,
+                         ThreadPool* pool = nullptr) const;
 
   /// Streams every record in global merged order, chunk at a time — O(chunk)
-  /// memory for v3 files (the compatibility shim for v1/v2 materializes the
-  /// model first).
-  void for_each(const std::function<void(const tracebuf::EventRecord&)>& fn);
+  /// memory.
+  void for_each(const std::function<void(const tracebuf::EventRecord&)>& fn) const;
 
   /// Integrity check: per-chunk CRC + structural decode + cross-chunk
   /// ordering, footer parse. Never throws for in-file corruption — findings
   /// land in the report.
-  VerifyReport verify();
+  VerifyReport verify() const;
 
  private:
   void open_and_index();
@@ -183,7 +183,6 @@ class OsntReader {
   void parse_footer(std::uint64_t footer_offset, std::uint64_t end);
   void recover_by_scan();
   void synthesize_truncated_meta();
-  void ensure_legacy_model();
   /// Largest cpu id + 1 the decode accepts for this file.
   std::size_t decode_cpu_bound() const;
   /// A view of [offset, offset+len): a pointer into the mapping/buffer when
@@ -195,12 +194,12 @@ class OsntReader {
   /// Decodes chunk `i` (CRC-verified) into records in stored (merged) order.
   std::vector<tracebuf::EventRecord> decode_chunk(std::size_t i) const;
   TraceModel assemble(std::vector<std::vector<tracebuf::EventRecord>> chunk_records,
-                      const std::vector<std::size_t>& chunk_ids, ThreadPool* pool);
+                      const std::vector<std::size_t>& chunk_ids, ThreadPool* pool) const;
   /// Serial read_all fast path: a counting pass sizes every per-CPU stream
   /// exactly, then chunks decode straight into the final streams — no merged
   /// intermediate, no bucket/concatenate copies. Output is bit-identical to
   /// the pooled assemble() path.
-  TraceModel read_all_direct();
+  TraceModel read_all_direct() const;
 
   std::FILE* file_ = nullptr;            ///< file-backed mode
   MappedFile map_;                       ///< file-backed mode with mmap
@@ -212,7 +211,6 @@ class OsntReader {
   std::uint64_t data_begin_ = 0;         ///< first byte after the header varints
   IoBackend backend_ = IoBackend::kBuffer;
 
-  std::uint32_t version_ = 0;
   bool truncated_ = false;
   bool index_recovered_ = false;
   /// Problems found while opening (index recovery, footer damage, a rejected
@@ -222,13 +220,6 @@ class OsntReader {
   std::optional<IndexSummary> index_summary_;
   TraceMeta meta_;
   std::map<Pid, TaskInfo> tasks_;
-  /// Serializes the mutable post-open state: the legacy shim below and the
-  /// truncated-file meta_ refinement in assemble(). The v3 hot path (chunk
-  /// index, mapping/pread) takes this lock only to snapshot meta_.
-  mutable std::mutex mutex_;
-  /// v1/v2 compatibility shim: whole-file decode, built on first use and
-  /// moved out by read_all() (re-parsed if needed again).
-  std::optional<TraceModel> legacy_;
 };
 
 /// Clips per-CPU streams to [t0, t1) and repairs kernel entry/exit frames cut

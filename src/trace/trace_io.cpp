@@ -218,36 +218,22 @@ std::uint64_t get_u64le(const std::uint8_t* buf, std::size_t size, std::size_t& 
 }  // namespace osnt
 
 // ---------------------------------------------------------------------------
-// v1 whole-trace serialization
+// Legacy (v1/v2) decoders — read-only; `osn-analyze upgrade` is their caller
 // ---------------------------------------------------------------------------
 
-std::vector<std::uint8_t> serialize_trace(const TraceModel& model) {
-  std::vector<std::uint8_t> out;
-  out.reserve(model.total_events() * 8 + 256);
-
-  put_varint(out, osnt::kMagic);
-  put_varint(out, osnt::kVersionWhole);
-
-  const TraceMeta& meta = model.meta();
-  osnt::put_meta_and_tasks(out, meta, model.tasks());
-
-  for (CpuId c = 0; c < meta.n_cpus; ++c) {
-    const auto& stream = model.cpu_events(c);
-    put_varint(out, stream.size());
-    TimeNs prev_ts = 0;
-    for (const auto& rec : stream) {
-      OSN_DASSERT_MSG(rec.timestamp >= prev_ts, "stream not time-ordered");
-      put_varint(out, rec.timestamp - prev_ts);
-      prev_ts = rec.timestamp;
-      put_varint(out, rec.pid);
-      put_varint(out, rec.event);
-      put_varint(out, rec.arg);
-    }
-  }
-  return out;
-}
-
 namespace {
+
+constexpr std::uint32_t kVersionWhole = 1;   // whole-trace layout
+constexpr std::uint32_t kVersionStream = 2;  // chunked stream + footer
+
+/// Applies one per-CPU timestamp delta. A delta that wraps past 2^64 would
+/// hand back a stream running backwards — which the v3 writer (and so
+/// `upgrade`) treats as a caller bug — so it is malformed input here, as in
+/// the v3 decoder.
+TimeNs advance_ts(TimeNs prev, std::uint64_t delta, std::size_t pos) {
+  if (delta > kTimeInfinity - prev) throw TraceReadError("stream not time-ordered", pos);
+  return prev + delta;
+}
 
 /// v1: per-CPU streams with up-front counts, after the shared header fields.
 TraceModel deserialize_whole(const std::uint8_t* buf, std::size_t size, std::size_t pos) {
@@ -265,7 +251,7 @@ TraceModel deserialize_whole(const std::uint8_t* buf, std::size_t size, std::siz
     TimeNs ts = 0;
     for (std::uint64_t i = 0; i < n; ++i) {
       tracebuf::EventRecord rec;
-      ts += get_varint(buf, size, pos);
+      ts = advance_ts(ts, get_varint(buf, size, pos), pos);
       rec.timestamp = ts;
       rec.pid = narrow<std::uint32_t>(get_varint(buf, size, pos), "pid", pos);
       rec.cpu = c;
@@ -296,7 +282,7 @@ TraceModel deserialize_stream(const std::uint8_t* buf, std::size_t size, std::si
         prev_ts.resize(cpu + 1, 0);
       }
       tracebuf::EventRecord rec;
-      prev_ts[cpu] += get_varint(buf, size, pos);
+      prev_ts[cpu] = advance_ts(prev_ts[cpu], get_varint(buf, size, pos), pos);
       rec.timestamp = prev_ts[cpu];
       rec.pid = narrow<std::uint32_t>(get_varint(buf, size, pos), "pid", pos);
       rec.cpu = static_cast<std::uint16_t>(cpu);
@@ -324,9 +310,9 @@ TraceModel deserialize_trace(const std::uint8_t* data, std::size_t size) {
   if (get_varint(data, size, pos) != osnt::kMagic)
     throw TraceReadError("bad magic: not an OSNT trace", 0);
   const std::uint64_t version = get_varint(data, size, pos);
-  if (version == osnt::kVersionWhole) return deserialize_whole(data, size, pos);
-  if (version == osnt::kVersionStream) return deserialize_stream(data, size, pos);
-  if (version == osnt::kVersionChunked) {
+  if (version == kVersionWhole) return deserialize_whole(data, size, pos);
+  if (version == kVersionStream) return deserialize_stream(data, size, pos);
+  if (version == kOsntVersion) {
     // Borrowed-buffer reader: decodes straight out of the caller's memory.
     OsntReader reader(data, size);
     return reader.read_all();
@@ -339,11 +325,9 @@ TraceModel deserialize_trace(const std::vector<std::uint8_t>& buf) {
 }
 
 bool write_trace_file(const TraceModel& model, const std::string& path) {
-  const auto bytes = serialize_trace(model);
-  std::unique_ptr<std::FILE, int (*)(std::FILE*)> f(std::fopen(path.c_str(), "wb"),
-                                                    &std::fclose);
-  if (!f) return false;
-  return std::fwrite(bytes.data(), 1, bytes.size(), f.get()) == bytes.size();
+  OsntStreamWriter writer(path);
+  for (const auto& rec : model.merged()) writer.append(rec);
+  return writer.finish(model.meta(), model.tasks());
 }
 
 TraceModel read_trace_file(const std::string& path) {
@@ -352,13 +336,11 @@ TraceModel read_trace_file(const std::string& path) {
 }
 
 // ---------------------------------------------------------------------------
-// OsntStreamWriter — the chunked layouts (v2, and the indexed v3 default),
-// written incrementally.
+// OsntStreamWriter — the chunk-indexed v3 layout, written incrementally.
 // ---------------------------------------------------------------------------
 
-OsntStreamWriter::OsntStreamWriter(const std::string& path, std::size_t chunk_records,
-                                   Format format)
-    : file_(std::fopen(path.c_str(), "wb")), format_(format), chunk_records_(chunk_records) {
+OsntStreamWriter::OsntStreamWriter(const std::string& path, std::size_t chunk_records)
+    : file_(std::fopen(path.c_str(), "wb")), chunk_records_(chunk_records) {
   // Caller API precondition, not decoded input — assert is the right tier.
   OSN_ASSERT_MSG(chunk_records_ >= 1, "chunk must hold at least one record");
   if (file_ == nullptr) {
@@ -367,13 +349,13 @@ OsntStreamWriter::OsntStreamWriter(const std::string& path, std::size_t chunk_re
   }
   std::vector<std::uint8_t> header;
   put_varint(header, osnt::kMagic);
-  put_varint(header, format_ == Format::kV3 ? osnt::kVersionChunked : osnt::kVersionStream);
+  put_varint(header, kOsntVersion);
   write_bytes(header.data(), header.size());
 }
 
 OsntStreamWriter::~OsntStreamWriter() {
   if (file_ == nullptr) return;
-  if (!finished_ && format_ == Format::kV3) {
+  if (!finished_) {
     // Best-effort truncation sentinel: flush what we have and mark the file
     // so the reader reports "truncated" instead of failing to parse. The
     // metadata footer is unavailable (finish() never ran), so footer_offset
@@ -389,7 +371,6 @@ OsntStreamWriter::~OsntStreamWriter() {
 
 void OsntStreamWriter::set_aggregator(std::unique_ptr<ChunkAggregator> agg) {
   OSN_ASSERT_MSG(records_ == 0, "set_aggregator after append");
-  OSN_ASSERT_MSG(format_ == Format::kV3, "aggregates require the v3 layout");
   aggregator_ = std::move(agg);
 }
 
@@ -408,20 +389,16 @@ void OsntStreamWriter::append(const tracebuf::EventRecord& rec) {
   }
   OSN_DASSERT_MSG(rec.timestamp >= prev_ts_[rec.cpu], "stream not time-ordered");
   put_varint(chunk_buf_, rec.cpu);
-  if (format_ == Format::kV3) {
-    // Per-chunk delta reset: a CPU's first record in a chunk carries its
-    // absolute timestamp, so every chunk decodes independently (the basis
-    // of parallel decode and windowed reads).
-    const TimeNs base = chunk_seen_[rec.cpu] ? chunk_prev_ts_[rec.cpu] : 0;
-    put_varint(chunk_buf_, rec.timestamp - base);
-    chunk_prev_ts_[rec.cpu] = rec.timestamp;
-    chunk_seen_[rec.cpu] = true;
-    if (in_chunk_ == 0) cur_.t_first = rec.timestamp;
-    cur_.t_last = rec.timestamp;
-    cur_.cpu_mask |= 1ULL << std::min<std::uint32_t>(rec.cpu, 63);
-  } else {
-    put_varint(chunk_buf_, rec.timestamp - prev_ts_[rec.cpu]);
-  }
+  // Per-chunk delta reset: a CPU's first record in a chunk carries its
+  // absolute timestamp, so every chunk decodes independently (the basis of
+  // parallel decode and windowed reads).
+  const TimeNs base = chunk_seen_[rec.cpu] ? chunk_prev_ts_[rec.cpu] : 0;
+  put_varint(chunk_buf_, rec.timestamp - base);
+  chunk_prev_ts_[rec.cpu] = rec.timestamp;
+  chunk_seen_[rec.cpu] = true;
+  if (in_chunk_ == 0) cur_.t_first = rec.timestamp;
+  cur_.t_last = rec.timestamp;
+  cur_.cpu_mask |= 1ULL << std::min<std::uint32_t>(rec.cpu, 63);
   prev_ts_[rec.cpu] = rec.timestamp;
   put_varint(chunk_buf_, rec.pid);
   put_varint(chunk_buf_, rec.event);
@@ -440,20 +417,18 @@ void OsntStreamWriter::flush_chunk() {
 
   std::vector<std::uint8_t> header;
   put_varint(header, in_chunk_);
-  if (format_ == Format::kV3) put_varint(header, chunk_buf_.size());
+  put_varint(header, chunk_buf_.size());
   write_bytes(header.data(), header.size());
   write_bytes(chunk_buf_.data(), chunk_buf_.size());
-  if (format_ == Format::kV3) {
-    std::vector<std::uint8_t> crc;
-    osnt::put_u32le(crc, crc32(chunk_buf_.data(), chunk_buf_.size()));
-    write_bytes(crc.data(), crc.size());
-    index_.push_back(cur_);
-    cur_ = ChunkEntry{};
-    std::fill(chunk_seen_.begin(), chunk_seen_.end(), false);
-    if (aggregator_) {
-      osnt::put_aggregate(agg_blobs_, aggregator_->take_chunk());
-      ++agg_chunks_;
-    }
+  std::vector<std::uint8_t> crc;
+  osnt::put_u32le(crc, crc32(chunk_buf_.data(), chunk_buf_.size()));
+  write_bytes(crc.data(), crc.size());
+  index_.push_back(cur_);
+  cur_ = ChunkEntry{};
+  std::fill(chunk_seen_.begin(), chunk_seen_.end(), false);
+  if (aggregator_) {
+    osnt::put_aggregate(agg_blobs_, aggregator_->take_chunk());
+    ++agg_chunks_;
   }
   chunk_buf_.clear();
   in_chunk_ = 0;
@@ -513,7 +488,7 @@ bool OsntStreamWriter::finish(const TraceMeta& meta, const std::map<Pid, TaskInf
   osnt::put_meta_and_tasks(footer, meta, tasks);
   osnt::put_drain(footer, meta.drain);
   write_bytes(footer.data(), footer.size());
-  if (format_ == Format::kV3) write_index_and_trailer(footer_offset, with_aggregates);
+  write_index_and_trailer(footer_offset, with_aggregates);
   if (std::fclose(file_) != 0) failed_ = true;
   file_ = nullptr;
   return !failed_;

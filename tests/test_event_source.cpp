@@ -1,7 +1,7 @@
 // EventSource contract tests: every ingestion path (in-memory model, OSNT
-// file v1/v2/v3) must deliver the identical trace — same model, same merged
-// order, same windows — and the v3 parallel/indexed fast paths must be
-// bit-identical to the generic ones at any worker count.
+// file) must deliver the identical trace — same model, same merged order,
+// same windows — and the parallel/indexed fast paths must be bit-identical
+// to the generic ones at any worker count.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -35,42 +35,41 @@ TraceModel sample_trace() {
   return b.build(t + 500);
 }
 
-std::string write_temp(const TraceModel& model, OsntStreamWriter::Format format,
-                       const std::string& name, std::size_t chunk_records = 32) {
+std::string write_temp(const TraceModel& model, const std::string& name,
+                       std::size_t chunk_records = 32) {
   const std::string path = ::testing::TempDir() + "/" + name;
-  OsntStreamWriter writer(path, chunk_records, format);
+  OsntStreamWriter writer(path, chunk_records);
   for (const auto& rec : model.merged()) writer.append(rec);
   EXPECT_TRUE(writer.finish(model.meta(), model.tasks()));
   return path;
 }
 
-// Model source, v1 file, v2 file and v3 file all materialize the same trace.
+// Model source, a write_trace_file file and a small-chunk stream-writer file
+// all materialize the same trace.
 TEST(EventSource, AllSourcesYieldIdenticalModels) {
   const TraceModel original = sample_trace();
 
-  const std::string v1 = ::testing::TempDir() + "/es_v1.osnt";
-  ASSERT_TRUE(write_trace_file(original, v1));
-  const std::string v2 = write_temp(original, OsntStreamWriter::Format::kV2, "es_v2.osnt");
-  const std::string v3 = write_temp(original, OsntStreamWriter::Format::kV3, "es_v3.osnt");
+  const std::string whole = ::testing::TempDir() + "/es_whole.osnt";
+  ASSERT_TRUE(write_trace_file(original, whole));
+  const std::string streamed = write_temp(original, "es_streamed.osnt");
 
   auto from_model = wrap_model(original);
   EXPECT_EQ(from_model->to_model(), original);
-  for (const std::string& path : {v1, v2, v3}) {
+  for (const std::string& path : {whole, streamed}) {
     auto source = open_trace_source(path);
     EXPECT_EQ(source->to_model(), original) << path;
     EXPECT_EQ(source->meta(), original.meta()) << path;
     EXPECT_EQ(source->tasks(), original.tasks()) << path;
   }
-  std::remove(v1.c_str());
-  std::remove(v2.c_str());
-  std::remove(v3.c_str());
+  std::remove(whole.c_str());
+  std::remove(streamed.c_str());
 }
 
 // for_each delivers the global merged order on every source.
 TEST(EventSource, ForEachDeliversMergedOrder) {
   const TraceModel original = sample_trace();
   const auto merged = original.merged();
-  const std::string v3 = write_temp(original, OsntStreamWriter::Format::kV3, "es_fe.osnt");
+  const std::string v3 = write_temp(original, "es_fe.osnt");
 
   auto collect = [](EventSource& s) {
     std::vector<tracebuf::EventRecord> out;
@@ -89,7 +88,7 @@ TEST(EventSource, ForEachDeliversMergedOrder) {
 TEST(EventSource, ParallelDecodeIsDeterministic) {
   const TraceModel original = sample_trace();
   const std::string v3 =
-      write_temp(original, OsntStreamWriter::Format::kV3, "es_par.osnt", /*chunk_records=*/8);
+      write_temp(original, "es_par.osnt", /*chunk_records=*/8);
 
   FileEventSource serial(v3);
   const TraceModel reference = serial.to_model(nullptr);
@@ -108,7 +107,7 @@ TEST(EventSource, ParallelDecodeIsDeterministic) {
 TEST(EventSource, WindowedReadMatchesGenericClip) {
   const TraceModel original = sample_trace();
   const std::string v3 =
-      write_temp(original, OsntStreamWriter::Format::kV3, "es_win.osnt", /*chunk_records=*/8);
+      write_temp(original, "es_win.osnt", /*chunk_records=*/8);
 
   const TimeNs mid = original.meta().end_ns / 2;
   const std::vector<std::pair<TimeNs, TimeNs>> windows = {
@@ -165,7 +164,7 @@ TEST(EventSource, WindowRepairsCutFrames) {
 // accumulators whichever source fed it.
 TEST(EventSource, StreamingStatsConsumesAnySource) {
   const TraceModel original = sample_trace();
-  const std::string v3 = write_temp(original, OsntStreamWriter::Format::kV3, "es_ss.osnt");
+  const std::string v3 = write_temp(original, "es_ss.osnt");
 
   noise::StreamingStats from_model;
   ModelEventSource model_source(original);

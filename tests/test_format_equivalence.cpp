@@ -1,11 +1,16 @@
-// Cross-format equivalence (the compat-shim contract): the same synthetic
-// 8-CPU trace stored as OSNT v1, v2 and v3 must produce the identical
-// TraceModel and *byte-identical* analysis artifacts — intervals CSV, summary
-// JSON, Paraver export — whichever format, ingestion path (direct model vs
-// EventSource) and worker count produced them.
+// Cross-format equivalence (the upgrade contract): the golden v1 and v2
+// files (tests/data/, frozen from the removed legacy writers) hold the
+// synthetic 8-CPU trace below. Decoded directly by deserialize_trace, and
+// converted by `osn-analyze upgrade` then read by the v3 reader, each must
+// give the identical TraceModel and *byte-identical* analysis artifacts —
+// intervals CSV, summary JSON, Paraver export — at any worker count. The
+// served path must refuse the legacy files with the upgrade hint.
 #include <gtest/gtest.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -13,6 +18,7 @@
 #include "export/json.hpp"
 #include "export/paraver.hpp"
 #include "noise/analysis.hpp"
+#include "golden.hpp"
 #include "trace/event_source.hpp"
 #include "trace/trace_io.hpp"
 #include "trace_builder.hpp"
@@ -20,10 +26,13 @@
 namespace osn::trace {
 namespace {
 
+using osn::testing::golden_bytes;
+using osn::testing::golden_path;
 using osn::testing::TraceBuilder;
 
 /// A synthetic 8-CPU trace with app ranks, a kernel daemon, kernel activity
 /// of several kinds, barrier windows and preemption-ish scheduling churn.
+/// The golden files were generated from exactly this trace.
 TraceModel synthetic_trace() {
   TraceBuilder b(8);
   for (Pid r = 1; r <= 8; ++r) b.task(r, "rank" + std::to_string(r - 1), true);
@@ -66,25 +75,27 @@ Artifacts artifacts_of(const noise::NoiseAnalysis& analysis) {
           exporter::export_paraver(analysis)};
 }
 
+/// Runs `osn-analyze <args>` and returns its exit status (-1 when it did not
+/// exit normally — a crash is never an acceptable answer). Its stderr lands
+/// in `err`.
+int cli(const std::string& args, std::string* err = nullptr) {
+  // Per process: ctest runs each test as its own process, in parallel.
+  const std::string err_path =
+      ::testing::TempDir() + "/fmt_cli_stderr_" + std::to_string(::getpid()) + ".txt";
+  const std::string line = std::string("\"") + OSN_ANALYZE_BIN + "\" " + args +
+                           " > /dev/null 2> \"" + err_path + "\"";
+  const int status = std::system(line.c_str());
+  if (err != nullptr) {
+    const auto bytes = osn::testing::file_bytes(err_path);
+    err->assign(bytes.begin(), bytes.end());
+  }
+  std::remove(err_path.c_str());
+  return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
 TEST(FormatEquivalence, V1V2V3ProduceByteIdenticalAnalysis) {
   const TraceModel original = synthetic_trace();
   ASSERT_EQ(original.validate(), "");
-
-  // Store the identical trace in all three layouts.
-  const std::string v1 = ::testing::TempDir() + "/fmt_v1.osnt";
-  ASSERT_TRUE(write_trace_file(original, v1));
-  const std::string v2 = ::testing::TempDir() + "/fmt_v2.osnt";
-  const std::string v3 = ::testing::TempDir() + "/fmt_v3.osnt";
-  {
-    OsntStreamWriter w2(v2, 64, OsntStreamWriter::Format::kV2);
-    OsntStreamWriter w3(v3, 64, OsntStreamWriter::Format::kV3);
-    for (const auto& rec : original.merged()) {
-      w2.append(rec);
-      w3.append(rec);
-    }
-    ASSERT_TRUE(w2.finish(original.meta(), original.tasks()));
-    ASSERT_TRUE(w3.finish(original.meta(), original.tasks()));
-  }
 
   // Reference: analysis straight off the in-memory model, serial.
   noise::AnalysisOptions serial;
@@ -95,28 +106,74 @@ TEST(FormatEquivalence, V1V2V3ProduceByteIdenticalAnalysis) {
   EXPECT_FALSE(expected.json.empty());
   EXPECT_FALSE(expected.paraver.prv.empty());
 
-  for (const std::string& path : {v1, v2, v3}) {
-    auto source = open_trace_source(path);
-    const TraceModel decoded = source->to_model();
-    EXPECT_EQ(decoded, original) << path;
-
-    // Through the EventSource ctor, serial and parallel.
+  const auto expect_artifacts = [&](EventSource& source, const std::string& what) {
     for (const std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
-      auto src = open_trace_source(path);
       noise::AnalysisOptions opts;
       opts.jobs = jobs;
-      const noise::NoiseAnalysis analysis(*src, opts);
+      const noise::NoiseAnalysis analysis(source, opts);
       const Artifacts got = artifacts_of(analysis);
-      EXPECT_EQ(got.csv, expected.csv) << path << " jobs=" << jobs;
-      EXPECT_EQ(got.json, expected.json) << path << " jobs=" << jobs;
-      EXPECT_EQ(got.paraver.prv, expected.paraver.prv) << path << " jobs=" << jobs;
-      EXPECT_EQ(got.paraver.pcf, expected.paraver.pcf) << path << " jobs=" << jobs;
-      EXPECT_EQ(got.paraver.row, expected.paraver.row) << path << " jobs=" << jobs;
+      EXPECT_EQ(got.csv, expected.csv) << what << " jobs=" << jobs;
+      EXPECT_EQ(got.json, expected.json) << what << " jobs=" << jobs;
+      EXPECT_EQ(got.paraver.prv, expected.paraver.prv) << what << " jobs=" << jobs;
+      EXPECT_EQ(got.paraver.pcf, expected.paraver.pcf) << what << " jobs=" << jobs;
+      EXPECT_EQ(got.paraver.row, expected.paraver.row) << what << " jobs=" << jobs;
+    }
+  };
+
+  for (const std::string name : {"synthetic_v1.osnt", "synthetic_v2.osnt"}) {
+    // The legacy decoder, straight off the golden bytes.
+    const TraceModel decoded = deserialize_trace(golden_bytes(name));
+    EXPECT_EQ(decoded, original) << name;
+    ModelEventSource direct(decoded);
+    expect_artifacts(direct, name + " decoded");
+
+    // The one conversion path, then the v3 reader.
+    const std::string upgraded = ::testing::TempDir() + "/fmt_upgraded_" + name;
+    ASSERT_EQ(cli("upgrade \"" + golden_path(name) + "\" \"" + upgraded + "\""), 0) << name;
+    FileEventSource file(upgraded);
+    EXPECT_TRUE(file.reader().index_summary().has_value()) << name;  // fast path on
+    EXPECT_EQ(file.to_model(), original) << name;
+    expect_artifacts(file, name + " upgraded");
+    std::remove(upgraded.c_str());
+  }
+}
+
+// Without `upgrade`, every CLI command that opens a trace refuses a legacy
+// file with the reader's hint that names the conversion, and exits 1.
+TEST(FormatEquivalence, LegacyFilesPointAtUpgrade) {
+  for (const std::string version : {"1", "2"}) {
+    const std::string path = golden_path("synthetic_v" + version + ".osnt");
+    const std::string hint =
+        "OSNT v" + version + " file: convert it with `osn-analyze upgrade IN OUT`";
+    for (const std::string cmd : {"stats", "summary", "info", "verify"}) {
+      std::string err;
+      EXPECT_EQ(cli(cmd + " \"" + path + "\"", &err), 1) << cmd << " v" << version;
+      EXPECT_NE(err.find(hint), std::string::npos) << cmd << " v" << version << ": " << err;
     }
   }
-  std::remove(v1.c_str());
-  std::remove(v2.c_str());
-  std::remove(v3.c_str());
+}
+
+// `upgrade` shares `run`'s anomaly policy: records that cannot be paired
+// still land in the v3 file (verify and analysis then report them), but the
+// command names the anomaly and exits 1.
+TEST(FormatEquivalence, UpgradeOfUnpairableTraceWritesFileAndExitsOne) {
+  TraceBuilder b(1);
+  b.task(1, "rank0", true);
+  b.pair(0, 100, 200, 1, EventType::kPageFaultEntry);
+  b.ev(0, 300, 1, EventType::kPageFaultExit);  // stray exit
+  const TraceModel bad = b.build();
+  const std::string in = ::testing::TempDir() + "/fmt_unpairable_in.osnt";
+  const std::string out = ::testing::TempDir() + "/fmt_unpairable_out.osnt";
+  ASSERT_TRUE(write_trace_file(bad, in));
+
+  std::string err;
+  EXPECT_EQ(cli("upgrade \"" + in + "\" \"" + out + "\"", &err), 1);
+  EXPECT_NE(err.find("stray exit on cpu 0 at 300 ns"), std::string::npos) << err;
+  OsntReader upgraded(out);
+  EXPECT_EQ(upgraded.read_all(), bad);
+  EXPECT_FALSE(upgraded.index_summary().has_value());  // the aggregator vetoed
+  std::remove(in.c_str());
+  std::remove(out.c_str());
 }
 
 }  // namespace

@@ -3,6 +3,10 @@
 // simulated run.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <filesystem>
+#include <string>
+
 #include "export/csv.hpp"
 #include "export/paraver.hpp"
 #include "noise/chart.hpp"
@@ -90,11 +94,13 @@ TEST(Integration, DisambiguationFindsCompositeQuanta) {
 
 TEST(Integration, TraceSurvivesOsntRoundTrip) {
   auto& run = ftq_run();
-  const auto bytes = trace::serialize_trace(run.result.trace);
-  EXPECT_EQ(trace::deserialize_trace(bytes), run.result.trace);
+  const std::string path = ::testing::TempDir() + "/osn_integration_rt.osnt";
+  ASSERT_TRUE(trace::write_trace_file(run.result.trace, path));
+  EXPECT_EQ(trace::read_trace_file(path), run.result.trace);
   // Compact: well under the 24-byte in-memory record size.
-  EXPECT_LT(static_cast<double>(bytes.size()),
+  EXPECT_LT(static_cast<double>(std::filesystem::file_size(path)),
             16.0 * static_cast<double>(run.result.trace.total_events()));
+  std::remove(path.c_str());
 }
 
 TEST(Integration, ParaverExportOfRealRunIsWellFormed) {

@@ -1,6 +1,9 @@
 // serve wire protocol: JSON parsing, request validation, response framing.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "serve/protocol.hpp"
 
 namespace osn::serve {
@@ -280,38 +283,83 @@ TEST(Osnb, MonitorOpsRoundTripOnBothWires) {
 }
 
 TEST(Osnb, RequestEnforcesJsonParserBounds) {
-  // The two wires must agree on what a valid request is: values the JSON
-  // parser rejects must not sneak in through the binary door.
-  std::string error;
+  // The two wires must agree on what a valid request is: every bad request
+  // goes through both parsers and must be refused with the same error, so
+  // nothing the JSON parser rejects sneaks in through the binary door.
+  struct Case {
+    const char* what;
+    Request req;
+    std::string error;
+  };
+  const auto make = [](Op op, const char* trace) {
+    Request req;
+    req.op = op;
+    req.trace = trace;
+    return req;
+  };
+  std::vector<Case> cases;
+  cases.push_back({"no trace", make(Op::kSummary, ""), "summary requires a trace name"});
+  {
+    Request req = make(Op::kWindow, "t");
+    req.has_window = true;
+    req.window_from_ms = 900;
+    req.window_to_ms = 100;
+    cases.push_back({"reversed window", req, "window requires 0 <= from_ms < to_ms"});
+    req.window_from_ms = -5;
+    cases.push_back({"negative window", req, "window requires 0 <= from_ms < to_ms"});
+  }
+  cases.push_back(
+      {"window op, no window", make(Op::kWindow, "t"), "window op requires a window field"});
+  {
+    Request req = make(Op::kChart, "t");
+    req.quantum_us = 0;
+    cases.push_back({"zero quantum", req, "quantum_us out of range"});
+    req.quantum_us = kTimeInfinity / kNsPerUs + 1;
+    cases.push_back({"wrapping quantum", req, "quantum_us out of range"});
+  }
+  {
+    Request req = make(Op::kTopK, "t");
+    req.k = 0;
+    cases.push_back({"zero k", req, "k out of range"});
+    req.k = 65537;
+    cases.push_back({"huge k", req, "k out of range"});
+  }
+  {
+    // cpu 65535 is the widest a Request can hold; both encodings are
+    // patched to 65536 below (its varint has the same length).
+    Request req = make(Op::kSummary, "t");
+    req.cpu = 0xFFFF;
+    cases.push_back({"cpu past 16 bits", req, "cpu out of range"});
+  }
 
-  Request bad_window;
-  bad_window.op = Op::kWindow;
-  bad_window.trace = "t";
-  bad_window.has_window = true;
-  bad_window.window_from_ms = 900;
-  bad_window.window_to_ms = 100;  // reversed
-  EXPECT_FALSE(parse_request_osnb(request_to_osnb(bad_window), error).has_value());
+  for (const Case& c : cases) {
+    std::string json = c.req.to_line();
+    std::string osnb = request_to_osnb(c.req);
+    if (c.error == "cpu out of range") {
+      const std::size_t at_json = json.find("65535");
+      const std::size_t at_osnb = osnb.find("\xff\xff\x03");
+      ASSERT_NE(at_json, std::string::npos);
+      ASSERT_NE(at_osnb, std::string::npos);
+      json.replace(at_json, 5, "65536");
+      osnb.replace(at_osnb, 3, "\x80\x80\x04");
+    }
+    std::string json_error, osnb_error;
+    EXPECT_FALSE(parse_request(json, json_error).has_value()) << c.what;
+    EXPECT_FALSE(parse_request_osnb(osnb, osnb_error).has_value()) << c.what;
+    EXPECT_EQ(json_error, c.error) << c.what;
+    EXPECT_EQ(osnb_error, c.error) << c.what;
+  }
 
-  Request no_window;
-  no_window.op = Op::kWindow;  // window op without a window
-  no_window.trace = "t";
-  EXPECT_FALSE(parse_request_osnb(request_to_osnb(no_window), error).has_value());
-
-  Request no_trace;
-  no_trace.op = Op::kSummary;  // trace-addressed op without a trace
-  EXPECT_FALSE(parse_request_osnb(request_to_osnb(no_trace), error).has_value());
-
-  Request zero_quantum;
-  zero_quantum.op = Op::kChart;
-  zero_quantum.trace = "t";
-  zero_quantum.quantum_us = 0;
-  EXPECT_FALSE(parse_request_osnb(request_to_osnb(zero_quantum), error).has_value());
-
+  // The stall cap is a bound too: both wires clamp to the same 10 s.
   Request huge_stall;
   huge_stall.stall = 600'000 * kNsPerMs;
-  const auto capped = parse_request_osnb(request_to_osnb(huge_stall), error);
-  ASSERT_TRUE(capped.has_value()) << error;
-  EXPECT_EQ(capped->stall, 10'000 * kNsPerMs);  // same 10 s cap as stall_ms
+  std::string error;
+  const auto capped_json = parse_request(huge_stall.to_line(), error);
+  ASSERT_TRUE(capped_json.has_value()) << error;
+  const auto capped_osnb = parse_request_osnb(request_to_osnb(huge_stall), error);
+  ASSERT_TRUE(capped_osnb.has_value()) << error;
+  EXPECT_EQ(capped_json->stall, 10'000 * kNsPerMs);
+  EXPECT_EQ(capped_osnb->stall, 10'000 * kNsPerMs);
 }
 
 TEST(Osnb, RequestParserRejectsMangledFrames) {

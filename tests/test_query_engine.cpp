@@ -1,9 +1,10 @@
 // Engine equivalence properties: every (window, predicate, aggregate) plan
-// over randomized v2/v3 traces must produce bytes identical to the primitive
-// composition (read_all → window_of → restrict → NoiseAnalysis → exporter),
-// at any worker count, over either I/O backend, hot or cold cache. These are
-// the tests that allowed the duplicated serve/CLI execution paths to be
-// deleted: the planner is provably the same computation.
+// over randomized traces (and the golden v2 trace, upgraded) must produce
+// bytes identical to the primitive composition (read_all → window_of →
+// restrict → NoiseAnalysis → exporter), at any worker count, over either I/O
+// backend, hot or cold cache. These are the tests that allowed the
+// duplicated serve/CLI execution paths to be deleted: the planner is
+// provably the same computation.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,6 +16,7 @@
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
 #include "export/json.hpp"
+#include "golden.hpp"
 #include "noise/analysis.hpp"
 #include "noise/index_aggregate.hpp"
 #include "query/engine.hpp"
@@ -75,16 +77,6 @@ std::string write_v3(const trace::TraceModel& model, const TempDir& dir,
   return path;
 }
 
-std::string write_v2(const trace::TraceModel& model, const TempDir& dir,
-                     const std::string& name) {
-  const std::string path = dir.path() + "/" + name + ".osnt";
-  trace::OsntStreamWriter writer(path, /*chunk_records=*/64,
-                                 trace::OsntStreamWriter::Format::kV2);
-  for (const auto& rec : model.merged()) writer.append(rec);
-  EXPECT_TRUE(writer.finish(model.meta(), model.tasks()));
-  return path;
-}
-
 /// The primitive composition the engine must reproduce byte-for-byte.
 std::string ground_truth_summary(const trace::TraceModel& model, const Plan& plan) {
   std::optional<trace::TraceModel> local;
@@ -131,25 +123,31 @@ TEST_P(EnginePlans, WindowAndCpuPlansMatchPrimitiveCompositionOnV3) {
   }
 }
 
+// Legacy data through the planner: the golden v2 trace, converted the way
+// `osn-analyze upgrade` converts it (v3 + pre-aggregates), answers full,
+// windowed and cpu plans exactly as the primitives do on the decoded model.
+// The seed picks the window and the cpu.
 TEST_P(EnginePlans, V2PlansMatchPrimitiveComposition) {
   TempDir dir("query_engine_v2");
-  const trace::TraceModel model = random_trace(GetParam());
-  const std::string path = write_v2(model, dir, "t");
+  const trace::TraceModel model =
+      trace::deserialize_trace(osn::testing::golden_bytes("synthetic_v2.osnt"));
+  ASSERT_GT(model.total_events(), 0u);
+  const std::string path = write_v3(model, dir, "t");
   trace::OsntReader reader(path);
-  ASSERT_TRUE(reader.chunks().empty());  // v2 has no index: legacy model path
   Engine engine;
 
   Plan full;
   EXPECT_EQ(engine.run(reader, "", full), ground_truth_summary(model, full));
 
+  const std::uint64_t seed = GetParam();
   Plan windowed;
-  windowed.t0 = model.meta().end_ns / 4;
-  windowed.t1 = model.meta().end_ns / 2;
+  windowed.t0 = model.meta().end_ns * seed / 10;
+  windowed.t1 = model.meta().end_ns * (seed + 3) / 10;
   EXPECT_EQ(engine.run(reader, "", windowed), ground_truth_summary(model, windowed));
 
-  Plan cpu0 = windowed;
-  cpu0.cpu = 0;
-  EXPECT_EQ(engine.run(reader, "", cpu0), ground_truth_summary(model, cpu0));
+  Plan on_cpu = windowed;
+  on_cpu.cpu = static_cast<CpuId>(seed % model.cpu_count());
+  EXPECT_EQ(engine.run(reader, "", on_cpu), ground_truth_summary(model, on_cpu));
 }
 
 TEST_P(EnginePlans, AblationOptionsFlowThroughThePlanner) {

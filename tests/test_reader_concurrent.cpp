@@ -1,14 +1,14 @@
 // Concurrent OsntReader access: many threads, one reader, one file.
 //
 // The query server shares one OsntReader per catalog entry across all its
-// workers, so read_all / read_window / verify must be callable concurrently
-// and return exactly what a single-threaded caller would get. v3 decoding is
-// lock-free (pread + immutable index); the v1/v2 shim serializes internally
-// — both contracts are exercised here, with results compared byte-for-byte
-// via serialize_trace.
+// workers, so read_all / read_window / verify / meta must be callable
+// concurrently and return exactly what a single-threaded caller would get.
+// The reader is immutable after open (mapping or pread + immutable index and
+// metadata), so none of it takes a lock; results are compared as TraceModels.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cstdio>
 #include <string>
 #include <thread>
@@ -50,14 +50,15 @@ TEST(ReaderConcurrent, ParallelReadAllMatchesSerial) {
   write_v3(original, path);
 
   OsntReader reader(path);
-  const std::vector<std::uint8_t> expected = serialize_trace(reader.read_all());
+  const TraceModel expected = reader.read_all();
+  EXPECT_EQ(expected, original);
 
   constexpr std::size_t kThreads = 8;
-  std::vector<std::vector<std::uint8_t>> got(kThreads);
+  std::vector<TraceModel> got(kThreads);
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
   for (std::size_t i = 0; i < kThreads; ++i)
-    threads.emplace_back([&, i] { got[i] = serialize_trace(reader.read_all()); });
+    threads.emplace_back([&, i] { got[i] = reader.read_all(); });
   for (auto& t : threads) t.join();
   for (std::size_t i = 0; i < kThreads; ++i) EXPECT_EQ(got[i], expected) << "thread " << i;
   std::remove(path.c_str());
@@ -69,23 +70,18 @@ TEST(ReaderConcurrent, MixedWindowAndFullReads) {
   write_v3(original, path);
 
   OsntReader reader(path);
-  const std::vector<std::uint8_t> expect_all = serialize_trace(reader.read_all());
-  const std::vector<std::uint8_t> expect_win =
-      serialize_trace(reader.read_window(ms(1), ms(2)));
+  const TraceModel expect_all = reader.read_all();
+  const TraceModel expect_win = reader.read_window(ms(1), ms(2));
 
   constexpr std::size_t kThreads = 8;
-  std::vector<std::vector<std::uint8_t>> got(kThreads);
+  std::vector<TraceModel> got(kThreads);
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
   for (std::size_t i = 0; i < kThreads; ++i) {
     threads.emplace_back([&, i] {
       // Even threads decode the full trace, odd threads a window; both also
       // run verify() to stress the shared index paths.
-      if (i % 2 == 0) {
-        got[i] = serialize_trace(reader.read_all());
-      } else {
-        got[i] = serialize_trace(reader.read_window(ms(1), ms(2)));
-      }
+      got[i] = i % 2 == 0 ? reader.read_all() : reader.read_window(ms(1), ms(2));
       EXPECT_TRUE(reader.verify().intact());
     });
   }
@@ -95,28 +91,70 @@ TEST(ReaderConcurrent, MixedWindowAndFullReads) {
   std::remove(path.c_str());
 }
 
-TEST(ReaderConcurrent, LegacyShimSerializesSafely) {
-  // v1 files run through the whole-file compatibility shim, whose lazily
-  // built model is guarded by the reader's internal mutex.
-  const TraceModel original = interesting_model();
-  const std::string path = temp_path("v1");
-  ASSERT_TRUE(write_trace_file(original, path));
+// Regression: decoding a truncated file used to refine its metadata in
+// place, under a lock that meta()'s callers (the served `info` document, the
+// engine's window canonicalization) never took — a data race on a reader the
+// catalog shares across workers. Decodes now widen only the models they
+// return, so meta() stays exactly what open() synthesized.
+TEST(ReaderConcurrent, TruncatedMetaStableWhileDecoding) {
+  // cpu 70 lies past the index's 63-bit cpu mask, so the meta synthesized at
+  // open (n_cpus 64) is narrower than the decoded model (71 streams).
+  TraceBuilder b(71);
+  b.task(1, "rank0", true);
+  for (TimeNs t = 0; t < 300; ++t) {
+    b.pair(0, 1'000 + t * 5'000, 1'800 + t * 5'000, 1, EventType::kIrqEntry, 0);
+    b.pair(70, 2'000 + t * 5'000, 2'500 + t * 5'000, 1, EventType::kIrqEntry, 0);
+  }
+  const TraceModel original = b.build(ms(2));
+  const std::string path = temp_path("v3_trunc");
+  {
+    OsntStreamWriter writer(path, /*chunk_records=*/64);
+    for (const auto& rec : original.merged()) writer.append(rec);
+    // Destroyed without finish(): the truncation sentinel, no footer.
+  }
 
-  OsntReader reader(path);
-  const std::vector<std::uint8_t> expected = serialize_trace(original);
+  const OsntReader reader(path);
+  ASSERT_TRUE(reader.truncated());
+  const TraceMeta opened = reader.meta();
+  EXPECT_EQ(opened.n_cpus, 64u);
+  const TraceModel expect_all = reader.read_all();
+  const TraceModel expect_win = reader.read_window(ms(1), ms(2));
+  EXPECT_EQ(expect_all.cpu_count(), 71u);
+  EXPECT_EQ(expect_all.merged(), original.merged());
+  EXPECT_EQ(reader.meta(), opened);
 
-  constexpr std::size_t kThreads = 6;
-  std::vector<std::vector<std::uint8_t>> got(kThreads);
+  constexpr std::size_t kDecoders = 4;
+  constexpr std::size_t kWatchers = 4;
+  std::atomic<std::size_t> decoding{kDecoders};
+  std::atomic<std::size_t> changed{0};
+  std::vector<TraceModel> got(kDecoders * 3);
   std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (std::size_t i = 0; i < kThreads; ++i) {
+  threads.reserve(kDecoders + kWatchers);
+  for (std::size_t i = 0; i < kDecoders; ++i) {
     threads.emplace_back([&, i] {
-      got[i] = serialize_trace(i % 2 == 0 ? reader.read_all()
-                                          : reader.read_window(0, kTimeInfinity));
+      for (std::size_t round = 0; round < 3; ++round)
+        got[i * 3 + round] = (i + round) % 2 == 0 ? reader.read_all()
+                                                  : reader.read_window(ms(1), ms(2));
+      decoding.fetch_sub(1);
+    });
+  }
+  for (std::size_t i = 0; i < kWatchers; ++i) {
+    threads.emplace_back([&] {
+      do {
+        const TraceMeta& meta = reader.meta();
+        if (meta.n_cpus != opened.n_cpus || meta.end_ns != opened.end_ns ||
+            meta.workload != opened.workload)
+          changed.fetch_add(1);
+      } while (decoding.load() > 0);
     });
   }
   for (auto& t : threads) t.join();
-  for (std::size_t i = 0; i < kThreads; ++i) EXPECT_EQ(got[i], expected) << "thread " << i;
+  EXPECT_EQ(changed.load(), 0u);
+  EXPECT_EQ(reader.meta(), opened);
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    const std::size_t decoder = i / 3, round = i % 3;
+    EXPECT_EQ(got[i], (decoder + round) % 2 == 0 ? expect_all : expect_win) << "read " << i;
+  }
   std::remove(path.c_str());
 }
 

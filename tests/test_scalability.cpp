@@ -1,8 +1,14 @@
 // Noise-to-scale extrapolation: profile extraction and order-statistics
 // amplification properties.
 #include <gtest/gtest.h>
+#include <sys/wait.h>
+
+#include <cstdio>
+#include <cstdlib>
+#include <string>
 
 #include "noise/scalability.hpp"
+#include "trace/trace_io.hpp"
 #include "trace_builder.hpp"
 
 namespace osn::noise {
@@ -31,6 +37,43 @@ TEST(NoiseProfile, ExtractsRateAndDurations) {
   EXPECT_NEAR(p.events_per_sec, 100.0, 1e-6);
   EXPECT_NEAR(p.mean_duration_ns, 2'000.0, 1e-6);
   EXPECT_NEAR(p.noise_fraction, 100.0 * 2'000.0 / 1e9, 1e-9);
+}
+
+/// Runs `osn-analyze scalability PATH FLAGS`; -1 when it did not exit
+/// normally (an abort is never an acceptable answer).
+int scalability_cli(const std::string& path, const std::string& flags) {
+  const std::string line = std::string("\"") + OSN_ANALYZE_BIN + "\" scalability \"" + path +
+                           "\" --iterations 20 " + flags + " > /dev/null 2>&1";
+  const int status = std::system(line.c_str());
+  return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+// A trace without application ranks has no per-rank profile. That is input
+// (any kernel-only trace), so it is a typed error and `osn-analyze
+// scalability` exits 1 instead of aborting.
+TEST(NoiseProfile, TraceWithoutRanksIsAProfileError) {
+  TraceBuilder b(1);
+  b.task(9, "rpciod", false, true);
+  b.pair(0, 1'000, 3'000, 9, EventType::kIrqEntry, 0);
+  const auto model = b.build(kNsPerSec);
+  NoiseAnalysis analysis(model);
+  EXPECT_THROW(NoiseProfile::from_analysis(analysis), ProfileError);
+
+  const std::string path = ::testing::TempDir() + "/osn_scal_noranks.osnt";
+  ASSERT_TRUE(trace::write_trace_file(model, path));
+  EXPECT_EQ(scalability_cli(path, ""), 1);
+  std::remove(path.c_str());
+}
+
+// Zero extrapolation parameters are input too: usage error, not an abort.
+TEST(NoiseProfile, ScalabilityCliRejectsZeroParameters) {
+  const std::string path = ::testing::TempDir() + "/osn_scal_zero.osnt";
+  ASSERT_TRUE(trace::write_trace_file(noisy_model(10, 2'000, kNsPerSec), path));
+  EXPECT_EQ(scalability_cli(path, ""), 0);
+  EXPECT_EQ(scalability_cli(path, "--ranks 8,0"), 2);
+  EXPECT_EQ(scalability_cli(path, "--granularity-us 0"), 2);
+  EXPECT_EQ(scalability_cli(path, "--iterations 0"), 2);
+  std::remove(path.c_str());
 }
 
 TEST(NoiseProfile, EmptyTraceGivesZeroProfile) {

@@ -3,11 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "export/json.hpp"
+#include "golden.hpp"
 #include "noise/analysis.hpp"
 #include "query/engine.hpp"
 #include "serve/client.hpp"
@@ -153,6 +155,34 @@ TEST(Server, UnpairableTraceIsATraceErrorAndTheDaemonKeepsServing) {
   EXPECT_TRUE(second.call(summary_request(3), Deadline::after(sec(60))).ok);
   query.id = 4;
   EXPECT_EQ(second.call(query, Deadline::after(sec(60))).error, errc::kTraceError);
+  server.stop();
+}
+
+// A legacy v1/v2 file in the served directory is not served: `summary`
+// answers trace_error carrying the reader's upgrade hint, and the daemon
+// keeps serving its v3 neighbours.
+TEST(Server, LegacyTraceIsATraceErrorNamingUpgrade) {
+  TempDir dir("server_legacy");
+  write_trace(make_model(), dir.path(), "t");
+  for (const char* version : {"1", "2"}) {
+    const std::string name = std::string("synthetic_v") + version + ".osnt";
+    std::filesystem::copy_file(osn::testing::golden_path(name), dir.path() + "/" + name);
+  }
+
+  Server server(options_for(dir.path()));
+  ASSERT_TRUE(server.start());
+  Client client("127.0.0.1", server.port(), Deadline::after(sec(10)));
+  for (const char* version : {"1", "2"}) {
+    Request query = summary_request(1);
+    query.trace = std::string("synthetic_v") + version;
+    const Response failed = client.call(query, Deadline::after(sec(60)));
+    EXPECT_EQ(failed.error, errc::kTraceError) << query.trace;
+    EXPECT_NE(failed.message.find(std::string("OSNT v") + version +
+                                  " file: convert it with `osn-analyze upgrade IN OUT`"),
+              std::string::npos)
+        << failed.message;
+  }
+  EXPECT_TRUE(client.call(summary_request(2), Deadline::after(sec(60))).ok);
   server.stop();
 }
 

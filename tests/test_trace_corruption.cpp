@@ -1,5 +1,5 @@
 // Corruption battery: bit-flips and truncations at randomized offsets over
-// every OSNT layout must produce a clean, structured TraceReadError (or a
+// the v3 layout and the golden legacy files must produce a clean, structured TraceReadError (or a
 // successful salvage) — never a crash, abort, or sanitizer finding. This is
 // the robustness contract of a trace store: cold archives rot and consumer
 // daemons get killed, and the analysis tooling has to fail with a byte
@@ -9,11 +9,13 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <map>
 #include <string>
 #include <vector>
 
 #include "common/crc32.hpp"
 #include "common/rng.hpp"
+#include "golden.hpp"
 #include "trace/osnt_layout.hpp"
 #include "trace/osnt_reader.hpp"
 #include "trace/trace_io.hpp"
@@ -22,6 +24,7 @@
 namespace osn::trace {
 namespace {
 
+using osn::testing::golden_bytes;
 using osn::testing::TraceBuilder;
 
 TraceModel sample_trace() {
@@ -108,18 +111,99 @@ TEST(TraceCorruption, EveryTruncationPointNeverCrashV3) {
   }
 }
 
-TEST(TraceCorruption, RandomBitFlipsNeverCrashV1) {
-  const auto pristine = serialize_trace(sample_trace());
-  Xoshiro256 rng(99);
+/// The legacy battery's pass criterion, i.e. what `osn-analyze upgrade`
+/// does: decode with deserialize_trace, then rewrite as v3. Decode either
+/// succeeds or throws TraceReadError; whatever decodes must be writable
+/// (the v3 writer asserts on time-reversed streams).
+void expect_legacy_decode_clean(const std::vector<std::uint8_t>& bytes) {
+  TraceModel model;
+  try {
+    model = deserialize_trace(bytes);
+  } catch (const TraceReadError&) {
+    return;
+  }
+  const std::string path =
+      ::testing::TempDir() + "/osn_corrupt_up_" + std::to_string(::getpid()) + ".osnt";
+  EXPECT_TRUE(write_trace_file(model, path));
+  std::remove(path.c_str());
+}
+
+void legacy_bit_flips(const char* golden, std::uint64_t seed) {
+  const auto pristine = golden_bytes(golden);
+  ASSERT_FALSE(pristine.empty());
+  Xoshiro256 rng(seed);
   for (int trial = 0; trial < 200; ++trial) {
     auto bytes = pristine;
     bytes[static_cast<std::size_t>(rng.bounded(bytes.size()))] ^=
         static_cast<std::uint8_t>(1u << rng.bounded(8));
-    try {
-      (void)deserialize_trace(bytes);
-    } catch (const TraceReadError&) {
-    }
+    expect_legacy_decode_clean(bytes);
   }
+}
+
+TEST(TraceCorruption, RandomBitFlipsNeverCrashV1) { legacy_bit_flips("synthetic_v1.osnt", 99); }
+
+TEST(TraceCorruption, RandomBitFlipsNeverCrashV2) { legacy_bit_flips("synthetic_v2.osnt", 98); }
+
+/// Replaces the varint at `pos` with the encoding of `value`. The lengths
+/// may differ: the legacy layouts carry no payload lengths, so every later
+/// field just shifts.
+void splice_varint(std::vector<std::uint8_t>& bytes, std::size_t pos, std::uint64_t value) {
+  std::size_t end = pos;
+  (void)get_varint(bytes.data(), bytes.size(), end);
+  std::vector<std::uint8_t> encoded;
+  put_varint(encoded, value);
+  bytes.erase(bytes.begin() + static_cast<std::ptrdiff_t>(pos),
+              bytes.begin() + static_cast<std::ptrdiff_t>(end));
+  bytes.insert(bytes.begin() + static_cast<std::ptrdiff_t>(pos), encoded.begin(),
+               encoded.end());
+}
+
+void expect_time_order_error(const std::vector<std::uint8_t>& bytes) {
+  try {
+    (void)deserialize_trace(bytes);
+    FAIL() << "expected TraceReadError";
+  } catch (const TraceReadError& e) {
+    EXPECT_NE(std::string(e.what()).find("stream not time-ordered"), std::string::npos)
+        << e.what();
+  }
+}
+
+// A legacy timestamp delta near 2^64 wraps the per-CPU clock backwards. The
+// decoders must refuse it as malformed input (as the v3 decoder does) rather
+// than hand `upgrade` a time-reversed stream for the writer to assert on.
+TEST(TraceCorruption, WrappingDeltaIsRejectedInGoldenV1) {
+  auto bytes = golden_bytes("synthetic_v1.osnt");
+  std::size_t pos = 0;
+  (void)get_varint(bytes, pos);  // magic
+  (void)get_varint(bytes, pos);  // version
+  TraceMeta meta;
+  std::map<Pid, TaskInfo> tasks;
+  osnt::get_meta_and_tasks(bytes.data(), bytes.size(), pos, meta, tasks);
+  ASSERT_GE(get_varint(bytes, pos), 2u);  // cpu 0's record count
+  for (int field = 0; field < 4; ++field) (void)get_varint(bytes, pos);  // record 0
+  splice_varint(bytes, pos, ~0ULL);  // record 1: t0 + (2^64 - 1) wraps to t0 - 1
+  expect_time_order_error(bytes);
+}
+
+TEST(TraceCorruption, WrappingDeltaIsRejectedInGoldenV2) {
+  auto bytes = golden_bytes("synthetic_v2.osnt");
+  std::size_t pos = 0;
+  (void)get_varint(bytes, pos);  // magic
+  (void)get_varint(bytes, pos);  // version
+  const std::uint64_t n = get_varint(bytes, pos);  // chunk 0's record count
+  std::vector<bool> seen;
+  for (std::uint64_t i = 0; i < n; ++i) {
+    const std::uint64_t cpu = get_varint(bytes, pos);
+    if (cpu < seen.size() && seen[cpu]) {
+      splice_varint(bytes, pos, ~0ULL);  // this cpu's clock wraps backwards
+      expect_time_order_error(bytes);
+      return;
+    }
+    if (cpu >= seen.size()) seen.resize(cpu + 1, false);
+    seen[cpu] = true;
+    for (int field = 0; field < 4; ++field) (void)get_varint(bytes, pos);
+  }
+  FAIL() << "no cpu repeats in chunk 0";
 }
 
 // A flipped payload bit is caught by the chunk CRC: verify() pins the damage

@@ -5,12 +5,16 @@
 #include <vector>
 
 #include "trace/osnt_reader.hpp"
+#include "golden.hpp"
 #include "trace/trace_io.hpp"
 #include "trace_builder.hpp"
 
 namespace osn::trace {
 namespace {
 
+using osn::testing::file_bytes;
+using osn::testing::golden_bytes;
+using osn::testing::golden_path;
 using osn::testing::TraceBuilder;
 
 // Varint round-trips across the full value spectrum.
@@ -76,16 +80,25 @@ TraceModel sample_trace() {
   return b.build(2'000'000);
 }
 
+/// The bytes write_trace_file produces for `model`.
+std::vector<std::uint8_t> written_bytes(const TraceModel& model, const std::string& name) {
+  const std::string path = ::testing::TempDir() + "/" + name;
+  EXPECT_TRUE(write_trace_file(model, path));
+  auto bytes = file_bytes(path);
+  std::remove(path.c_str());
+  return bytes;
+}
+
 TEST(TraceIo, RoundTripPreservesEverything) {
   const TraceModel original = sample_trace();
-  const auto bytes = serialize_trace(original);
+  const auto bytes = written_bytes(original, "osn_io_rt.osnt");
   const TraceModel restored = deserialize_trace(bytes);
   EXPECT_EQ(original, restored);
 }
 
 TEST(TraceIo, RoundTripEmptyTrace) {
   const TraceModel original = TraceBuilder(4).build(1);
-  EXPECT_EQ(deserialize_trace(serialize_trace(original)), original);
+  EXPECT_EQ(deserialize_trace(written_bytes(original, "osn_io_rt_empty.osnt")), original);
 }
 
 TEST(TraceIo, DeltaEncodingIsCompact) {
@@ -93,7 +106,7 @@ TEST(TraceIo, DeltaEncodingIsCompact) {
   TraceBuilder b(1);
   for (TimeNs i = 0; i < 1000; ++i)
     b.ev(0, i * 100, 1, EventType::kSchedWakeup, 1);
-  const auto bytes = serialize_trace(b.build(200'000));
+  const auto bytes = written_bytes(b.build(200'000), "osn_io_delta.osnt");
   EXPECT_LT(bytes.size(), 1000u * 8u);
 }
 
@@ -108,7 +121,8 @@ TEST(TraceIo, BadMagicThrows) {
 }
 
 TEST(TraceIo, TrailingBytesThrow) {
-  auto bytes = serialize_trace(sample_trace());
+  auto bytes = golden_bytes("synthetic_v1.osnt");
+  ASSERT_FALSE(bytes.empty());
   bytes.push_back(0);
   try {
     deserialize_trace(bytes);
@@ -136,8 +150,8 @@ TEST(TraceIo, UnreadableFileThrows) {
   }
 }
 
-// Streaming the merged record sequence through the v2 chunked writer must
-// reconstruct the exact TraceModel the v1 whole-trace path produces.
+// Streaming the merged record sequence through the chunked writer must
+// reconstruct the exact TraceModel it came from.
 TEST(TraceIo, StreamWriterRoundTripMatchesModel) {
   const TraceModel original = sample_trace();
   const std::string path = ::testing::TempDir() + "/osn_io_stream.osnt";
@@ -195,7 +209,6 @@ TEST(TraceIo, StreamWriterV3WritesChunkIndex) {
     ASSERT_TRUE(writer.finish(original.meta(), original.tasks()));
   }
   OsntReader reader(path);
-  EXPECT_EQ(reader.version(), 3u);
   EXPECT_FALSE(reader.truncated());
   EXPECT_FALSE(reader.index_recovered());
   ASSERT_EQ(reader.chunks().size(), (original.total_events() + 1) / 2);
@@ -211,21 +224,23 @@ TEST(TraceIo, StreamWriterV3WritesChunkIndex) {
   std::remove(path.c_str());
 }
 
-// The v2 layout stays writable for compatibility tooling, and round-trips
-// through the same reader.
-TEST(TraceIo, StreamWriterV2FormatOptionRoundTrips) {
-  const TraceModel original = sample_trace();
-  const std::string path = ::testing::TempDir() + "/osn_io_v2_opt.osnt";
-  {
-    OsntStreamWriter writer(path, 4, OsntStreamWriter::Format::kV2);
-    for (const auto& rec : original.merged()) writer.append(rec);
-    ASSERT_TRUE(writer.finish(original.meta(), original.tasks()));
+// The legacy layouts are no longer served: the reader refuses them at open
+// with the one conversion path in the message, while deserialize_trace (what
+// `osn-analyze upgrade` runs) still decodes them.
+TEST(TraceIo, LegacyFilesAreRefusedWithUpgradeHint) {
+  for (const int version : {1, 2}) {
+    const std::string name = "synthetic_v" + std::to_string(version) + ".osnt";
+    const std::string hint = "OSNT v" + std::to_string(version) +
+                             " file: convert it with `osn-analyze upgrade IN OUT`";
+    try {
+      OsntReader reader(golden_path(name));
+      FAIL() << name << ": expected TraceReadError";
+    } catch (const TraceReadError& e) {
+      EXPECT_NE(std::string(e.what()).find(hint), std::string::npos) << e.what();
+    }
+    EXPECT_THROW(read_trace_file(golden_path(name)), TraceReadError) << name;
+    EXPECT_EQ(deserialize_trace(golden_bytes(name)).total_events(), 1584u) << name;
   }
-  OsntReader reader(path);
-  EXPECT_EQ(reader.version(), 2u);
-  EXPECT_EQ(reader.read_all(), original);
-  EXPECT_EQ(read_trace_file(path), original);
-  std::remove(path.c_str());
 }
 
 // Regression (writer crash-consistency): a v3 writer destroyed without
@@ -243,7 +258,6 @@ TEST(TraceIo, StreamWriterDestructorWritesTruncationSentinel) {
     // best-effort index + "truncated" trailer.
   }
   OsntReader reader(path);
-  EXPECT_EQ(reader.version(), 3u);
   EXPECT_TRUE(reader.truncated());
   EXPECT_FALSE(reader.index_recovered());
   EXPECT_EQ(reader.indexed_records(), merged.size());
@@ -380,7 +394,6 @@ TEST(TraceIo, StreamWriterRotationSequenceSealsEachFile) {
   std::vector<tracebuf::EventRecord> rejoined;
   for (const std::string& path : paths) {
     OsntReader reader(path);
-    EXPECT_EQ(reader.version(), 3u);
     EXPECT_FALSE(reader.truncated());  // sealed, not salvaged
     EXPECT_FALSE(reader.index_recovered());
     EXPECT_EQ(reader.tasks(), original.tasks());  // footer intact per segment
@@ -467,7 +480,6 @@ TEST(TraceIo, ZeroRecordAggregateOnlyFileRoundTrips) {
     ASSERT_TRUE(writer.finish(original.meta(), original.tasks()));
   }
   OsntReader reader(path);
-  EXPECT_EQ(reader.version(), 3u);
   EXPECT_FALSE(reader.truncated());
   EXPECT_EQ(reader.indexed_records(), 0u);
   EXPECT_TRUE(reader.chunks().empty());

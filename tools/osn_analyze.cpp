@@ -6,6 +6,7 @@
 //
 //   osn-analyze run <ftq|amg|irs|lammps|sphot|umt> [-o trace.osnt]
 //                   [--seconds N] [--seed S]
+//   osn-analyze upgrade <old.osnt> <new.osnt>
 //   osn-analyze info <trace.osnt>
 //   osn-analyze stats <trace.osnt>
 //   osn-analyze breakdown <trace.osnt> [--per-rank] [--no-runnable-filter]
@@ -26,6 +27,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <iterator>
 #include <map>
 #include <memory>
@@ -107,8 +109,9 @@ int usage() {
       stderr,
       "osn-analyze — quantitative OS-noise analysis on OSNT traces\n\n"
       "  osn-analyze run <ftq|amg|irs|lammps|sphot|umt> [-o out.osnt]\n"
-      "              [--seconds N] [--seed S] [--offline]\n"
+      "              [--seconds N] [--seed S]\n"
       "              [--buf-capacity N] [--batch N]\n"
+      "  osn-analyze upgrade <old.osnt> <new.osnt>   (v1/v2 -> v3)\n"
       "  osn-analyze info <trace.osnt>\n"
       "  osn-analyze verify <trace.osnt>\n"
       "  osn-analyze stats <trace.osnt>\n"
@@ -141,11 +144,11 @@ int usage() {
       "  osn-analyze scalability <trace.osnt> [--granularity-us N]\n"
       "              [--ranks N,N,...]\n\n"
       "Analysis commands accept --jobs N: worker threads for the sharded\n"
-      "per-CPU pipeline and the chunk-parallel v3 decode (default: all\n"
+      "per-CPU pipeline and the chunk-parallel decode (default: all\n"
       "hardware threads; --jobs 1 runs the serial reference path — both\n"
       "produce byte-identical output). They also accept --window A:B\n"
-      "(milliseconds): analyze only that time slice — for chunk-indexed v3\n"
-      "traces only the overlapping chunks are read from disk — and\n"
+      "(milliseconds): analyze only that time slice — only the overlapping\n"
+      "chunks are read from disk — and\n"
       "--io mmap|pread: decode straight out of a read-only mapping (default,\n"
       "falls back to pread when mmap fails) or force positioned reads.\n");
   return 2;
@@ -331,22 +334,9 @@ int cmd_run(const Args& args) {
     workload = std::make_unique<workloads::SequoiaWorkload>(it->second, sec(seconds));
   }
 
-  std::fprintf(stderr, "simulating %s for %llus (seed %llu, %s drain)...\n", which.c_str(),
-               static_cast<unsigned long long>(seconds),
-               static_cast<unsigned long long>(seed),
-               args.has("offline") ? "offline" : "live");
-
-  if (args.has("offline")) {
-    // Legacy path: collect the whole trace in memory, then serialize (v1).
-    const workloads::RunResult run = workloads::run_workload(*workload, seed);
-    if (!trace::write_trace_file(run.trace, out)) {
-      std::fprintf(stderr, "error: cannot write %s\n", out.c_str());
-      return 1;
-    }
-    std::printf("wrote %s: %zu events over %s\n", out.c_str(), run.trace.total_events(),
-                fmt_duration(run.trace.duration()).c_str());
-    return 0;
-  }
+  std::fprintf(stderr, "simulating %s for %llus (seed %llu, live drain)...\n",
+               which.c_str(), static_cast<unsigned long long>(seconds),
+               static_cast<unsigned long long>(seed));
 
   // Live pipeline: the consumer daemon drains the per-CPU channels while the
   // simulation runs, streaming merged records straight into the chunked OSNT
@@ -407,17 +397,47 @@ int cmd_run(const Args& args) {
   return 0;
 }
 
+/// Rewrites a legacy (v1/v2) file — or any OSNT file — as v3 with the
+/// pre-aggregate block, so it takes every reader's fast path. Like `run`:
+/// the file is written even when its records cannot be paired, and the
+/// anomaly is reported with exit 1.
+int cmd_upgrade(const Args& args) {
+  if (args.positionals().size() != 2) return usage();
+  const std::string& in = args.positionals()[0];
+  const std::string& out = args.positionals()[1];
+  std::ifstream file(in, std::ios::binary);
+  if (!file) throw trace::TraceReadError("cannot open trace file: " + in, 0);
+  const trace::TraceModel model = trace::deserialize_trace(
+      std::vector<std::uint8_t>(std::istreambuf_iterator<char>(file), {}));
+
+  trace::OsntStreamWriter writer(out);
+  auto aggregator = std::make_unique<noise::IndexAggregator>();
+  const noise::IndexAggregator& agg = *aggregator;
+  writer.set_aggregator(std::move(aggregator));
+  for (const auto& rec : model.merged()) writer.append(rec);
+  if (!writer.finish(model.meta(), model.tasks())) {
+    std::fprintf(stderr, "error: cannot write %s\n", out.c_str());
+    return 1;
+  }
+  if (const auto& anomaly = agg.anomaly()) {
+    std::fprintf(stderr, "error: %s: %s\n", in.c_str(), noise::to_string(*anomaly).c_str());
+    return 1;
+  }
+  std::printf("wrote %s: %llu events (OSNT v%u)\n", out.c_str(),
+              static_cast<unsigned long long>(writer.records_written()), trace::kOsntVersion);
+  return 0;
+}
+
 int cmd_info(const Args& args) {
   trace::FileEventSource source(trace_path(args), io_mode(args));
   const auto pool = decode_pool(args);
   const trace::TraceModel model = source.to_model(pool.get());
   const trace::OsntReader& reader = source.reader();
-  std::printf("format:    OSNT v%u%s%s\n", reader.version(),
+  std::printf("format:    OSNT v%u%s%s\n", trace::kOsntVersion,
               reader.truncated() ? " (TRUNCATED — writer did not finish)" : "",
               reader.index_recovered() ? " (index recovered by scan)" : "");
-  if (reader.version() == 3)
-    std::printf("chunks:    %zu (%llu records indexed)\n", reader.chunks().size(),
-                static_cast<unsigned long long>(reader.indexed_records()));
+  std::printf("chunks:    %zu (%llu records indexed)\n", reader.chunks().size(),
+              static_cast<unsigned long long>(reader.indexed_records()));
   std::printf("workload:  %s\n", model.meta().workload.c_str());
   std::printf("duration:  %s\n", fmt_duration(model.duration()).c_str());
   std::printf("cpus:      %u (tick %s)\n", model.cpu_count(),
@@ -445,7 +465,7 @@ int cmd_info(const Args& args) {
 
 /// The semantic half of `verify`: streams the records through the analyzer's
 /// IntervalBuilder, so a trace verify passes is a trace analysis can pair.
-/// Prints the first anomaly, naming its chunk (v3), and returns false.
+/// Prints the first anomaly, naming its chunk, and returns false.
 bool verify_pairing(trace::FileEventSource& source) {
   const std::vector<trace::ChunkInfo>& chunks = source.reader().chunks();
   // Per cpu, (chunk, cpu record index of its first record there): locates
@@ -472,10 +492,6 @@ bool verify_pairing(trace::FileEventSource& source) {
   builder.finish(source.meta().end_ns, [](noise::IntervalBuilder::Step) {});
   const std::optional<noise::IntervalAnomaly>& anomaly = builder.anomaly();
   if (!anomaly) return true;
-  if (chunks.empty()) {
-    std::printf("ISSUE: %s\n", noise::to_string(*anomaly).c_str());
-    return false;
-  }
   const auto& starts = chunk_starts[anomaly->cpu];
   const auto at = std::upper_bound(
       starts.begin(), starts.end(), anomaly->index,
@@ -487,9 +503,8 @@ bool verify_pairing(trace::FileEventSource& source) {
 int cmd_verify(const Args& args) {
   trace::FileEventSource source(trace_path(args), io_mode(args));
   const trace::VerifyReport report = source.reader().verify();
-  std::printf("format:    OSNT v%u\n", report.version);
-  if (report.version == 3)
-    std::printf("chunks:    %zu\n", report.chunks);
+  std::printf("format:    OSNT v%u\n", trace::kOsntVersion);
+  std::printf("chunks:    %zu\n", report.chunks);
   std::printf("records:   %llu\n", static_cast<unsigned long long>(report.records));
   if (report.truncated)
     std::printf("truncated: yes — writer did not finish; flushed chunks salvaged\n");
@@ -909,6 +924,11 @@ int cmd_scalability(const Args& args) {
   noise::ScalabilityParams params;
   params.granularity = args.get_u64("granularity-us", 1000) * kNsPerUs;
   params.iterations = static_cast<std::uint32_t>(args.get_u64("iterations", 200));
+  if (params.granularity == 0 || params.iterations == 0 ||
+      std::find(ranks.begin(), ranks.end(), 0u) != ranks.end()) {
+    std::fprintf(stderr, "error: --granularity-us, --iterations and --ranks must be positive\n");
+    return 2;
+  }
 
   TextTable table({"ranks", "E[max noise]/window", "slowdown", "efficiency"});
   for (const auto& pt : noise::extrapolate_scalability(profile, ranks, params)) {
@@ -931,6 +951,7 @@ int main(int argc, char** argv) {
   // every reader path throws trace::TraceReadError with the byte offset.
   try {
     if (cmd == "run") return cmd_run(args);
+    if (cmd == "upgrade") return cmd_upgrade(args);
     if (cmd == "info") return cmd_info(args);
     if (cmd == "verify") return cmd_verify(args);
     if (cmd == "stats") return cmd_stats(args);
@@ -953,6 +974,9 @@ int main(int argc, char** argv) {
     return 1;
   } catch (const noise::AnalysisError& e) {
     // A trace whose records cannot be paired is input, not a crash.
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
+  } catch (const noise::ProfileError& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
   }
