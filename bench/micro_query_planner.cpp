@@ -60,17 +60,20 @@ const std::string& bench_file() {
   trace::OsntStreamWriter writer(path, 8192);
   writer.set_aggregator(std::make_unique<noise::IndexAggregator>());
   for (std::uint64_t step = 0; step < bench_steps(); ++step) {
-    for (std::uint16_t cpu = 0; cpu < kCpus; ++cpu) {
-      const TimeNs base = step * 1'000 + cpu * 11;
-      const Pid pid = static_cast<Pid>(1 + cpu);
-      const auto entry = step % 3 == 0 ? trace::EventType::kIrqEntry
-                                       : trace::EventType::kSoftirqEntry;
-      const std::uint64_t arg =
-          entry == trace::EventType::kIrqEntry
-              ? static_cast<std::uint64_t>(trace::IrqVector::kTimer)
-              : static_cast<std::uint64_t>(trace::SoftirqNr::kTimer);
-      writer.append(trace::make_record(base, cpu, pid, entry, arg));
-      writer.append(trace::make_record(base + 300, cpu, pid, trace::exit_of(entry), arg));
+    // Entries (at most +77 ns) precede exits (+300 ns): (timestamp, cpu) order.
+    for (const DurNs offset : {DurNs{0}, DurNs{300}}) {
+      for (std::uint16_t cpu = 0; cpu < kCpus; ++cpu) {
+        const TimeNs base = step * 1'000 + cpu * 11;
+        const Pid pid = static_cast<Pid>(1 + cpu);
+        const auto entry = step % 3 == 0 ? trace::EventType::kIrqEntry
+                                         : trace::EventType::kSoftirqEntry;
+        const std::uint64_t arg =
+            entry == trace::EventType::kIrqEntry
+                ? static_cast<std::uint64_t>(trace::IrqVector::kTimer)
+                : static_cast<std::uint64_t>(trace::SoftirqNr::kTimer);
+        const auto type = offset == 0 ? entry : trace::exit_of(entry);
+        writer.append(trace::make_record(base + offset, cpu, pid, type, arg));
+      }
     }
   }
   std::map<Pid, trace::TaskInfo> tasks;

@@ -67,18 +67,18 @@ const std::string& catalog_dir() {
   std::filesystem::create_directories(dir);
   trace::OsntStreamWriter writer(dir + "/bench.osnt", 8192);
   for (std::uint64_t step = 0; step < trace_steps(); ++step) {
-    for (std::uint16_t cpu = 0; cpu < kCpus; ++cpu) {
-      tracebuf::EventRecord entry;
-      entry.timestamp = step * 2'000 + cpu * 17;
-      entry.cpu = cpu;
-      entry.pid = 1 + cpu;
-      entry.event = static_cast<std::uint16_t>(trace::EventType::kIrqEntry);
-      entry.arg = 0;
-      writer.append(entry);
-      tracebuf::EventRecord exit = entry;
-      exit.timestamp += 300 + (step % 7) * 50;
-      exit.event = static_cast<std::uint16_t>(trace::EventType::kIrqExit);
-      writer.append(exit);
+    // Entries (at most +51 ns) precede exits (+300 ns on): (timestamp, cpu) order.
+    for (const bool is_exit : {false, true}) {
+      for (std::uint16_t cpu = 0; cpu < kCpus; ++cpu) {
+        tracebuf::EventRecord rec;
+        rec.timestamp = step * 2'000 + cpu * 17 + (is_exit ? 300 + (step % 7) * 50 : 0);
+        rec.cpu = cpu;
+        rec.pid = 1 + cpu;
+        rec.event = static_cast<std::uint16_t>(is_exit ? trace::EventType::kIrqExit
+                                                       : trace::EventType::kIrqEntry);
+        rec.arg = 0;
+        writer.append(rec);
+      }
     }
   }
   trace::TraceMeta meta;

@@ -112,46 +112,47 @@ BENCHMARK(BM_Crc32Bytewise)->Arg(512)->Arg(64 * 1024);
 BENCHMARK(BM_Crc32Slice8)->Arg(512)->Arg(64 * 1024);
 BENCHMARK(BM_Crc32Hardware)->Arg(512)->Arg(64 * 1024);
 
-// --- Full-file decode ------------------------------------------------------
+// --- Full-file and windowed decode ----------------------------------------
 
-// range(0): 0 = mmap, 1 = pread. range(1): decode workers.
-void BM_DecodeV3Full(benchmark::State& state) {
+// range(0): 0 = mmap, 1 = pread. range(1): decode workers. Rates are
+// wall-clock (UseRealTime): pooled decode works on other threads, so rates
+// divided by the calling thread's CPU time would overstate it.
+void decode_bench(benchmark::State& state, bool window) {
   const std::string& path = bench_file();
   const auto mode = state.range(0) == 0 ? trace::OsntReader::IoMode::kAuto
                                         : trace::OsntReader::IoMode::kPread;
   const auto jobs = static_cast<std::size_t>(state.range(1));
   ThreadPool pool(jobs);
+  ThreadPool* p = jobs > 1 ? &pool : nullptr;
+  const TimeNs end = bench_meta().end_ns;
   for (auto _ : state) {
     trace::OsntReader reader(path, mode);
-    benchmark::DoNotOptimize(reader.read_all(jobs > 1 ? &pool : nullptr));
+    benchmark::DoNotOptimize(window ? reader.read_window(end / 2, end / 2 + end / 10, p)
+                                    : reader.read_all(p));
   }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(bench_steps() * kCpus));
-  state.SetBytesProcessed(state.iterations() * file_bytes(path));
+  const auto records = static_cast<std::int64_t>(bench_steps() * kCpus / (window ? 10 : 1));
+  state.SetItemsProcessed(state.iterations() * records);
+  if (!window) state.SetBytesProcessed(state.iterations() * file_bytes(path));
   state.SetLabel(state.range(0) == 0 ? "mmap" : "pread");
 }
+
+void BM_DecodeV3Full(benchmark::State& state) { decode_bench(state, false); }
 BENCHMARK(BM_DecodeV3Full)
     ->Args({0, 1})
     ->Args({1, 1})
     ->Args({0, 2})
     ->Args({0, 8})
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 // A 10% time window: the index prunes ~90% of the chunks before any decode.
-void BM_DecodeV3Window10Pct(benchmark::State& state) {
-  const std::string& path = bench_file();
-  const auto mode = state.range(0) == 0 ? trace::OsntReader::IoMode::kAuto
-                                        : trace::OsntReader::IoMode::kPread;
-  const TimeNs end = bench_meta().end_ns;
-  for (auto _ : state) {
-    trace::OsntReader reader(path, mode);
-    benchmark::DoNotOptimize(reader.read_window(end / 2, end / 2 + end / 10));
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(bench_steps() * kCpus / 10));
-  state.SetLabel(state.range(0) == 0 ? "mmap" : "pread");
-}
-BENCHMARK(BM_DecodeV3Window10Pct)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+void BM_DecodeV3Window10Pct(benchmark::State& state) { decode_bench(state, true); }
+BENCHMARK(BM_DecodeV3Window10Pct)
+    ->Args({0, 1})
+    ->Args({1, 1})
+    ->Args({0, 2})
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 // --- Summary: pre-aggregates vs record decode ------------------------------
 
@@ -167,18 +168,21 @@ const std::string& summary_file() {
   trace::OsntStreamWriter writer(path, 8192);
   writer.set_aggregator(std::make_unique<noise::IndexAggregator>());
   for (std::uint64_t step = 0; step < steps; ++step) {
-    for (std::uint16_t cpu = 0; cpu < kCpus; ++cpu) {
-      const TimeNs base = step * 1'000 + cpu * 11;
-      const Pid pid = static_cast<Pid>(1 + cpu);
-      // Alternate timer irqs and timer softirqs — both mapped activities.
-      const auto entry = step % 3 == 0 ? trace::EventType::kIrqEntry
-                                       : trace::EventType::kSoftirqEntry;
-      const std::uint64_t arg =
-          entry == trace::EventType::kIrqEntry
-              ? static_cast<std::uint64_t>(trace::IrqVector::kTimer)
-              : static_cast<std::uint64_t>(trace::SoftirqNr::kTimer);
-      writer.append(trace::make_record(base, cpu, pid, entry, arg));
-      writer.append(trace::make_record(base + 300, cpu, pid, trace::exit_of(entry), arg));
+    // Entries (at most +77 ns) precede exits (+300 ns): (timestamp, cpu) order.
+    for (const DurNs offset : {DurNs{0}, DurNs{300}}) {
+      for (std::uint16_t cpu = 0; cpu < kCpus; ++cpu) {
+        const TimeNs base = step * 1'000 + cpu * 11;
+        const Pid pid = static_cast<Pid>(1 + cpu);
+        // Alternate timer irqs and timer softirqs — both mapped activities.
+        const auto entry = step % 3 == 0 ? trace::EventType::kIrqEntry
+                                         : trace::EventType::kSoftirqEntry;
+        const std::uint64_t arg =
+            entry == trace::EventType::kIrqEntry
+                ? static_cast<std::uint64_t>(trace::IrqVector::kTimer)
+                : static_cast<std::uint64_t>(trace::SoftirqNr::kTimer);
+        const auto type = offset == 0 ? entry : trace::exit_of(entry);
+        writer.append(trace::make_record(base + offset, cpu, pid, type, arg));
+      }
     }
   }
   std::map<Pid, trace::TaskInfo> tasks;

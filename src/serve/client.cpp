@@ -1,8 +1,12 @@
 #include "serve/client.hpp"
 
 #include "net/codec.hpp"
+#include "net/event_loop.hpp"
 
 namespace osn::serve {
+
+static_assert(kMaxResponseBytes >= net::LoopOptions{}.write_queue_max,
+              "a response the server can queue must fit the client's limit");
 
 const char* wire_name(Wire wire) {
   return wire == Wire::kBinary ? "binary" : "json";
@@ -26,7 +30,8 @@ Response Client::call_line(const std::string& line, std::uint64_t id,
                              connect_error_.empty() ? "not connected" : connect_error_);
   if (!stream_.send_all(line + "\n", deadline))
     return Response::failure(id, kTransportError, "send failed");
-  std::optional<std::string> reply = stream_.recv_line(deadline);
+  std::optional<std::string> reply =
+      stream_.recv_line(deadline, /*cancel=*/nullptr, kMaxResponseBytes);
   if (!reply)
     return Response::failure(id, kTransportError, "connection closed before response");
   std::optional<Response> resp = parse_response(*reply);
@@ -54,7 +59,7 @@ Response Client::call_binary(const Request& req, Deadline deadline) {
   std::string frame;
   std::string frame_error;
   for (;;) {
-    switch (codec.decode(rbuf_, /*max_frame=*/1 << 20, frame, frame_error)) {
+    switch (codec.decode(rbuf_, kMaxResponseBytes, frame, frame_error)) {
       case net::Codec::Result::kFrame: {
         std::optional<Response> resp = parse_response_osnb(frame);
         if (!resp)

@@ -6,6 +6,7 @@
 // "transport") so callers handle one shape.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -49,6 +50,10 @@ class Client {
   bool sent_preamble_ = false;
   std::string rbuf_;  ///< binary wire: received, not yet framed
 };
+
+/// Largest response the client reads, on either wire: the server's write
+/// cap (net::LoopOptions::write_queue_max), so any document it sends fits.
+inline constexpr std::size_t kMaxResponseBytes = 8u << 20;
 
 /// errc-style code for client-side transport failures (never sent on the
 /// wire by a server).

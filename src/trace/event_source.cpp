@@ -22,9 +22,8 @@ TraceModel FileEventSource::to_model_window(TimeNs t0, TimeNs t1, ThreadPool* po
   return reader_.read_window(t0, t1, pool);
 }
 
-std::unique_ptr<EventSource> open_trace_source(const std::string& path,
-                                               OsntReader::IoMode mode) {
-  return std::make_unique<FileEventSource>(path, mode);
+std::unique_ptr<EventSource> open_trace_source(const std::string& path) {
+  return std::make_unique<FileEventSource>(path);
 }
 
 std::unique_ptr<EventSource> wrap_model(TraceModel model) {

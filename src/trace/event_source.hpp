@@ -69,9 +69,7 @@ class ModelEventSource final : public EventSource {
 /// EventSource over an OSNT v3 file via OsntReader.
 class FileEventSource final : public EventSource {
  public:
-  explicit FileEventSource(const std::string& path,
-                           OsntReader::IoMode mode = OsntReader::IoMode::kAuto)
-      : reader_(path, mode) {}
+  explicit FileEventSource(const std::string& path) : reader_(path) {}
   explicit FileEventSource(std::vector<std::uint8_t> bytes) : reader_(std::move(bytes)) {}
 
   const TraceMeta& meta() override { return reader_.meta(); }
@@ -90,8 +88,7 @@ class FileEventSource final : public EventSource {
 
 /// Opens a trace file as an EventSource. Throws TraceReadError on open or
 /// header/index failure.
-std::unique_ptr<EventSource> open_trace_source(
-    const std::string& path, OsntReader::IoMode mode = OsntReader::IoMode::kAuto);
+std::unique_ptr<EventSource> open_trace_source(const std::string& path);
 
 /// Wraps an in-memory model as an EventSource.
 std::unique_ptr<EventSource> wrap_model(TraceModel model);

@@ -6,9 +6,9 @@
 #endif
 
 #include <algorithm>
-#include <bit>
 #include <cstring>
 #include <exception>
+#include <utility>
 
 #include "common/crc32.hpp"
 #include "trace/osnt_layout.hpp"
@@ -96,49 +96,139 @@ void walk_payload(const std::uint8_t* data, std::size_t len, std::uint64_t n_rec
     throw TraceReadError("chunk payload length mismatch", file_offset + pos, chunk_id);
 }
 
-/// Decodes one v3 chunk payload into records in stored (merged) order.
-/// `cpu_mask_hint` (the index's cpu mask, 0 when unknown) pre-sizes the
-/// per-cpu delta state so the record loop allocates nothing.
-std::vector<tracebuf::EventRecord> decode_payload(const std::uint8_t* data,
-                                                  std::size_t len,
-                                                  std::uint64_t n_records,
-                                                  std::uint64_t file_offset,
-                                                  std::int64_t chunk_id,
-                                                  std::size_t cpu_bound,
-                                                  std::uint64_t cpu_mask_hint) {
-  std::vector<tracebuf::EventRecord> out;
-  if (n_records <= len / 5 + 1) out.reserve(static_cast<std::size_t>(n_records));
-  // Per-cpu delta state, sized once from the index's cpu mask (exact when
-  // every cpu is < 63; the bit-63 overflow case falls back to the bound).
-  std::size_t hint = 0;
-  if (cpu_mask_hint != 0) {
-    hint = (cpu_mask_hint >> 63) != 0 ? cpu_bound
-                                      : static_cast<std::size_t>(std::bit_width(cpu_mask_hint));
-    hint = std::min(hint, cpu_bound);
+/// (timestamp, cpu): the key of the one record order every v3 file keeps.
+/// TraceModel::merged(), the consumer daemon's k-way merge and every writer
+/// emit records in this order; window_chunk_range's binary search relies on
+/// it, and every decode checks it.
+struct RecordKey {
+  TimeNs ts = 0;
+  std::size_t cpu = 0;
+
+  friend bool operator<(const RecordKey& a, const RecordKey& b) {
+    return a.ts != b.ts ? a.ts < b.ts : a.cpu < b.cpu;
   }
-  // A chunk's first record for a CPU carries its absolute timestamp, i.e. a
-  // delta from zero — so zero-initialized prev state makes the first-record
-  // case fall out of the same `prev + delta` arithmetic as every other
-  // record. No per-cpu "seen" bookkeeping in the hot loop.
-  std::vector<TimeNs> prev_ts(hint, 0);
-  walk_payload(data, len, n_records, file_offset, chunk_id, cpu_bound,
-               [&](std::size_t cpu, std::uint64_t delta, std::uint64_t pid64,
-                   std::uint64_t event64, std::uint64_t arg, std::size_t pos) {
-                 if (cpu >= prev_ts.size()) {
-                   // Cold path: the index mask under-reported (corrupt or
-                   // absent). Growth stays bounded by cpu_bound.
-                   prev_ts.resize(cpu + 1, 0);
-                 }
-                 tracebuf::EventRecord rec;
-                 rec.timestamp = prev_ts[cpu] + delta;
-                 prev_ts[cpu] = rec.timestamp;
-                 rec.cpu = static_cast<std::uint16_t>(cpu);
-                 rec.pid = narrow<std::uint32_t>(pid64, "pid", pos);
-                 rec.event = narrow<std::uint16_t>(event64, "event", pos);
-                 rec.arg = arg;
-                 out.push_back(rec);
-               });
-  return out;
+};
+
+/// What a chunk walk saw — the fields its index entry must agree with.
+struct ChunkSpan {
+  RecordKey first;
+  RecordKey last;
+  std::uint64_t cpu_mask = 0;  ///< bit c: cpu c present (c < 63); bit 63: any cpu >= 63
+};
+
+/// One cpu's state within the chunk being walked.
+struct CpuState {
+  std::uint64_t epoch = 0;  ///< the walk that last touched this cpu
+  TimeNs prev_ts = 0;       ///< delta base: the cpu's previous record in the chunk
+  std::size_t n = 0;        ///< caller's: records counted, or next slot to fill
+  std::size_t end = 0;      ///< caller's: one past the cpu's last slot
+};
+
+/// Decodes chunk payloads for one thread of work. Per-cpu state is grown on
+/// demand (bounded by the cpu bound) and never cleared: an epoch stamp marks
+/// the chunk that last touched each cpu, so a chunk costs O(its records)
+/// whatever the file's cpu count.
+class ChunkDecoder {
+ public:
+  explicit ChunkDecoder(std::size_t cpu_bound) : cpu_bound_(cpu_bound) {}
+
+  /// The state of `cpu` in the current chunk; fresh (all zero) at its first
+  /// record there.
+  CpuState& state(std::size_t cpu) {
+    if (cpu >= cpus_.size()) cpus_.resize(cpu + 1);
+    CpuState& s = cpus_[cpu];
+    if (s.epoch != epoch_) s = CpuState{epoch_, 0, 0, 0};
+    return s;
+  }
+
+  /// Counts one payload's records per cpu into state(cpu).n, calling
+  /// on_first(cpu) at each cpu's first record. Checks only the payload's
+  /// structure and the cpu bound: the cheap first pass of a model decode.
+  template <class OnFirst>
+  void count(const std::uint8_t* payload, std::size_t len, std::uint64_t n_records,
+             std::uint64_t payload_off, std::int64_t chunk_id, OnFirst&& on_first) {
+    ++epoch_;
+    walk_payload(payload, len, n_records, payload_off, chunk_id, cpu_bound_,
+                 [&](std::size_t cpu, std::uint64_t, std::uint64_t, std::uint64_t,
+                     std::uint64_t, std::size_t) {
+                   if (state(cpu).n++ == 0) on_first(cpu);
+                 });
+  }
+
+  /// Walks one payload, calling on_record(rec, state) per record in stored
+  /// order. A chunk's first record for a CPU carries its absolute timestamp,
+  /// i.e. a delta from a fresh state's zero base. Throws TraceReadError when
+  /// the payload is malformed, a record sorts below its predecessor (which
+  /// also catches a delta that wraps a cpu's clock) or a pid/event overflows
+  /// its field. Returns what the walk saw.
+  template <class OnRecord>
+  ChunkSpan walk(const std::uint8_t* payload, std::size_t len, std::uint64_t n_records,
+                 std::uint64_t payload_off, std::int64_t chunk_id, OnRecord&& on_record) {
+    ++epoch_;
+    ChunkSpan span;
+    RecordKey prev;  // (0, 0) sorts below every record
+    walk_payload(payload, len, n_records, payload_off, chunk_id, cpu_bound_,
+                 [&](std::size_t cpu, std::uint64_t delta, std::uint64_t pid64,
+                     std::uint64_t event64, std::uint64_t arg, std::size_t pos) {
+                   CpuState& s = state(cpu);
+                   tracebuf::EventRecord rec;
+                   rec.timestamp = s.prev_ts + delta;
+                   const RecordKey key{rec.timestamp, cpu};
+                   if (key < prev)
+                     throw TraceReadError("records not in (timestamp, cpu) order",
+                                          payload_off + pos, chunk_id);
+                   if (span.cpu_mask == 0) span.first = key;  // no record seen yet
+                   prev = key;
+                   span.cpu_mask |= 1ULL << std::min<std::size_t>(cpu, 63);
+                   s.prev_ts = rec.timestamp;
+                   rec.cpu = static_cast<std::uint16_t>(cpu);
+                   rec.pid = narrow<std::uint32_t>(pid64, "pid", pos);
+                   rec.event = narrow<std::uint16_t>(event64, "event", pos);
+                   rec.arg = arg;
+                   on_record(rec, s);
+                 });
+    span.last = prev;
+    return span;
+  }
+
+ private:
+  std::size_t cpu_bound_;
+  std::uint64_t epoch_ = 0;
+  std::vector<CpuState> cpus_;
+};
+
+/// Walks the verified chunk `id`, which must also agree with its index
+/// entry: first and last timestamps and cpu mask.
+template <class OnRecord>
+ChunkSpan walk_indexed(ChunkDecoder& dec, const std::uint8_t* payload,
+                       std::uint64_t payload_off, const ChunkInfo& c, std::size_t id,
+                       OnRecord&& on_record) {
+  const auto chunk_id = static_cast<std::int64_t>(id);
+  const ChunkSpan span = dec.walk(payload, static_cast<std::size_t>(c.payload_len), c.records,
+                                  payload_off, chunk_id, on_record);
+  if (span.first.ts != c.t_first || span.last.ts != c.t_last)
+    throw TraceReadError("chunk time range disagrees with index", c.offset, chunk_id);
+  if (span.cpu_mask != c.cpu_mask)
+    throw TraceReadError("chunk cpu mask disagrees with index", c.offset, chunk_id);
+  return span;
+}
+
+/// Refuses chunk `next` when its first record sorts below the last record of
+/// the chunk read before it.
+void check_boundary(const ChunkSpan& before, const ChunkSpan& next, const ChunkInfo& c,
+                    std::size_t id) {
+  if (next.first < before.last)
+    throw TraceReadError("records not in (timestamp, cpu) order across chunks", c.offset,
+                         static_cast<std::int64_t>(id));
+}
+
+/// Checks the CRC-32 that follows a chunk payload of `len` bytes at `body`.
+void check_crc(const std::uint8_t* body, std::uint64_t len, std::uint64_t payload_off,
+               std::int64_t chunk_id) {
+  const auto n = static_cast<std::size_t>(len);
+  std::size_t cpos = n;
+  if (crc32(body, n) != osnt::get_u32le(body, n + 4, cpos))
+    throw TraceReadError("chunk CRC mismatch", payload_off, chunk_id);
 }
 
 }  // namespace
@@ -218,6 +308,20 @@ void OsntReader::open_and_index() {
     index_summary_.reset();
     index_recovered_ = true;
     recover_by_scan();
+  }
+  // Chunks slice the one (timestamp, cpu) record order, so their index time
+  // ranges must be sorted. A file whose index is not cannot answer a window
+  // (the chunk search would miss records): every read refuses it, and
+  // verify() names the chunk.
+  for (std::size_t i = 0; i < chunks_.size(); ++i) {
+    const ChunkInfo& c = chunks_[i];
+    if (c.t_last < c.t_first || (i > 0 && c.t_first < chunks_[i - 1].t_last)) {
+      index_order_ =
+          ChunkIssue{static_cast<std::int64_t>(i), c.offset,
+                     "records not in (timestamp, cpu) order: chunk index time ranges go back"};
+      open_issues_.push_back(*index_order_);
+      break;
+    }
   }
 }
 
@@ -352,6 +456,8 @@ void OsntReader::recover_by_scan() {
   // so recovery of a damaged multi-GiB file never materializes the file.
   std::uint64_t pos = data_begin_;
   bool footer_ok = false;
+  // No trustworthy metadata yet: bound cpu ids by the format limit only.
+  ChunkDecoder dec(kMaxCpus);
   for (;;) {
     if (pos >= size_) {
       truncated_ = true;
@@ -411,34 +517,25 @@ void OsntReader::recover_by_scan() {
     c.offset = pos;
     c.records = count;
     c.payload_len = payload_len;
-    std::vector<tracebuf::EventRecord> records;
+    const auto id = static_cast<std::int64_t>(chunks_.size());
     try {
       if (payload_len > size_ - pos - header_len ||
           4 > size_ - pos - header_len - payload_len)
-        throw TraceReadError("chunk extends past end of trace", pos,
-                             static_cast<std::int64_t>(chunks_.size()));
+        throw TraceReadError("chunk extends past end of trace", pos, id);
       std::vector<std::uint8_t> bscratch;
       const std::uint8_t* body = view_at(pos + header_len, payload_len + 4, bscratch);
-      const auto blen = static_cast<std::size_t>(payload_len) + 4;
-      std::size_t cpos = static_cast<std::size_t>(payload_len);
-      const std::uint32_t stored = osnt::get_u32le(body, blen, cpos);
-      if (crc32(body, static_cast<std::size_t>(payload_len)) != stored)
-        throw TraceReadError("chunk CRC mismatch", pos + header_len,
-                             static_cast<std::int64_t>(chunks_.size()));
-      // No trustworthy metadata yet: bound cpu ids by the format limit only.
-      records = decode_payload(body, static_cast<std::size_t>(payload_len), count,
-                               pos + header_len, static_cast<std::int64_t>(chunks_.size()),
-                               kMaxCpus, /*cpu_mask_hint=*/0);
+      check_crc(body, payload_len, pos + header_len, id);
+      const ChunkSpan span =
+          dec.walk(body, static_cast<std::size_t>(payload_len), count, pos + header_len, id,
+                   [](const tracebuf::EventRecord&, CpuState&) {});
+      c.t_first = span.first.ts;
+      c.t_last = span.last.ts;
+      c.cpu_mask = span.cpu_mask;
     } catch (const TraceReadError& e) {
       truncated_ = true;
-      open_issues_.push_back(ChunkIssue{static_cast<std::int64_t>(chunks_.size()),
-                                        e.byte_offset(), e.what()});
+      open_issues_.push_back(ChunkIssue{id, e.byte_offset(), e.what()});
       break;
     }
-    c.t_first = records.front().timestamp;
-    c.t_last = records.back().timestamp;
-    for (const auto& rec : records)
-      c.cpu_mask |= 1ULL << std::min<std::uint32_t>(rec.cpu, 63);
     chunks_.push_back(c);
     pos += header_len + payload_len + 4;
   }
@@ -476,27 +573,26 @@ std::size_t OsntReader::decode_cpu_bound() const {
   return meta_.n_cpus;
 }
 
-std::vector<tracebuf::EventRecord> OsntReader::decode_chunk(std::size_t i) const {
+const std::uint8_t* OsntReader::chunk_payload(std::size_t i, std::uint64_t& payload_off,
+                                              std::vector<std::uint8_t>& scratch) const {
   const ChunkInfo& c = chunks_[i];
-  std::vector<std::uint8_t> hscratch;
+  const auto id = static_cast<std::int64_t>(i);
   const std::uint64_t hlen = std::min<std::uint64_t>(size_ - c.offset, 20);
-  const std::uint8_t* head = view_at(c.offset, hlen, hscratch);
+  const std::uint8_t* head = view_at(c.offset, hlen, scratch);
   std::size_t hpos = 0;
   const std::uint64_t count = get_varint(head, static_cast<std::size_t>(hlen), hpos);
   const std::uint64_t payload_len = get_varint(head, static_cast<std::size_t>(hlen), hpos);
   if (count != c.records || payload_len != c.payload_len)
-    throw TraceReadError("chunk header disagrees with index", c.offset,
-                         static_cast<std::int64_t>(i));
-  const std::uint64_t payload_off = c.offset + hpos;
-  std::vector<std::uint8_t> bscratch;
-  const std::uint8_t* body = view_at(payload_off, c.payload_len + 4, bscratch);
-  const auto blen = static_cast<std::size_t>(c.payload_len) + 4;
-  std::size_t cpos = static_cast<std::size_t>(c.payload_len);
-  const std::uint32_t stored = osnt::get_u32le(body, blen, cpos);
-  if (crc32(body, static_cast<std::size_t>(c.payload_len)) != stored)
-    throw TraceReadError("chunk CRC mismatch", payload_off, static_cast<std::int64_t>(i));
-  return decode_payload(body, static_cast<std::size_t>(c.payload_len), count, payload_off,
-                        static_cast<std::int64_t>(i), decode_cpu_bound(), c.cpu_mask);
+    throw TraceReadError("chunk header disagrees with index", c.offset, id);
+  payload_off = c.offset + hpos;
+  const std::uint8_t* body = view_at(payload_off, c.payload_len + 4, scratch);
+  check_crc(body, c.payload_len, payload_off, id);
+  return body;
+}
+
+void OsntReader::require_ordered_index() const {
+  if (index_order_)
+    throw TraceReadError(index_order_->problem, index_order_->offset, index_order_->chunk);
 }
 
 namespace {
@@ -512,30 +608,6 @@ void refine_truncated_meta(TraceMeta& meta,
     if (!stream.empty()) last_seen = std::max(last_seen, stream.back().timestamp);
   meta.n_cpus = static_cast<std::uint16_t>(per_cpu.size());
   meta.end_ns = std::max(meta.end_ns, last_seen + 1);
-}
-
-/// Pre-faults a freshly reserved output buffer in one batched syscall.
-/// Faulting 38 MB of model storage one page-trap at a time costs more than
-/// decoding the records that fill it; MADV_POPULATE_WRITE does the same page
-/// allocation in a single kernel pass, and MADV_HUGEPAGE first lets that
-/// pass use 2 MB pages where available. Purely advisory: any failure (old
-/// kernel, non-Linux) just falls back to ordinary demand faulting.
-void prefault_writable(void* data, std::size_t bytes) {
-#if defined(__linux__) && defined(MADV_POPULATE_WRITE)
-  static const std::uintptr_t page =
-      static_cast<std::uintptr_t>(::sysconf(_SC_PAGESIZE));
-  const auto addr = reinterpret_cast<std::uintptr_t>(data);
-  const std::uintptr_t lo = (addr + page - 1) & ~(page - 1);
-  const std::uintptr_t hi = (addr + bytes) & ~(page - 1);
-  if (hi <= lo) return;
-  void* base = reinterpret_cast<void*>(lo);
-  const std::size_t len = static_cast<std::size_t>(hi - lo);
-  (void)::madvise(base, len, MADV_HUGEPAGE);
-  (void)::madvise(base, len, MADV_POPULATE_WRITE);
-#else
-  (void)data;
-  (void)bytes;
-#endif
 }
 
 /// Read-side counterpart for a private file mapping: fault the region in one
@@ -558,237 +630,146 @@ void prefault_readable(const void* data, std::size_t bytes) {
 #endif
 }
 
-/// Pass-2 worker for read_all_direct: decodes one chunk straight into the
-/// final per-CPU streams. A separate function on purpose — read_all_direct
-/// instantiates two payload walks (count + decode), and inside one caller
-/// GCC's inline-growth budget stops inlining the varint fast path into the
-/// second walk, costing ~40% decode throughput. Split out, each walk gets
-/// its own budget.
-void decode_chunk_into(const std::uint8_t* body, std::size_t len, std::uint64_t n_records,
-                       std::uint64_t file_offset, std::int64_t chunk_id,
-                       std::uint64_t chunk_offset, std::size_t cpu_bound,
-                       std::vector<TimeNs>& prev_ts, std::vector<TimeNs>& last_ts,
-                       std::vector<std::vector<tracebuf::EventRecord>>& per_cpu) {
-  std::fill(prev_ts.begin(), prev_ts.end(), 0);
-  walk_payload(body, len, n_records, file_offset, chunk_id, cpu_bound,
-               [&](std::size_t cpu, std::uint64_t delta, std::uint64_t pid64,
-                   std::uint64_t event64, std::uint64_t arg, std::size_t pos) {
-                 tracebuf::EventRecord rec;
-                 rec.timestamp = prev_ts[cpu] + delta;
-                 prev_ts[cpu] = rec.timestamp;
-                 if (rec.timestamp < last_ts[cpu])
-                   throw TraceReadError("stream not time-ordered across chunks",
-                                        chunk_offset, chunk_id);
-                 last_ts[cpu] = rec.timestamp;
-                 rec.cpu = static_cast<std::uint16_t>(cpu);
-                 rec.pid = narrow<std::uint32_t>(pid64, "pid", pos);
-                 rec.event = narrow<std::uint16_t>(event64, "event", pos);
-                 rec.arg = arg;
-                 per_cpu[cpu].push_back(rec);
-               });
+/// Runs fn(k, decoder, scratch) for every k in [0, n) and returns what each k
+/// threw. Serially, or on the pool in contiguous slices (a few per thread),
+/// each slice with its own decoder and scratch, so per-cpu decode state costs
+/// O(threads x cpus) at most.
+template <class Fn>
+std::vector<std::exception_ptr> for_chunks(std::size_t n, ThreadPool* pool,
+                                           std::size_t cpu_bound, Fn&& fn) {
+  std::vector<std::exception_ptr> errors(n);
+  const std::size_t slices =
+      std::min(n, pool == nullptr ? std::size_t{1} : 4 * (pool->worker_count() + 1));
+  const auto run_slice = [&](std::size_t s) {
+    ChunkDecoder dec(cpu_bound);
+    std::vector<std::uint8_t> scratch;
+    for (std::size_t k = n * s / slices; k < n * (s + 1) / slices; ++k) {
+      try {
+        fn(k, dec, scratch);
+      } catch (...) {
+        errors[k] = std::current_exception();
+      }
+    }
+  };
+  if (slices > 1) {
+    pool->parallel_for(slices, run_slice);
+  } else if (slices == 1) {
+    run_slice(0);
+  }
+  return errors;
 }
+
+/// One cpu's records in one chunk, and where they go in that cpu's stream.
+struct CpuRun {
+  std::size_t cpu = 0;
+  std::size_t count = 0;
+  std::size_t slot = 0;
+};
 
 }  // namespace
 
-TraceModel OsntReader::read_all_direct() const {
-  TraceMeta meta = meta_;
+TraceModel OsntReader::decode(const std::vector<std::size_t>& ids, ThreadPool* pool) const {
+  require_ordered_index();
+  const std::size_t n = ids.size();
   const std::size_t cpu_bound = decode_cpu_bound();
 
-  // A full read touches every chunk byte twice; fault the mapping in bulk
-  // up front rather than a trap at a time during the count walk.
-  if (backend_ == IoBackend::kMmap && !chunks_.empty()) {
-    const std::uint64_t begin = chunks_.front().offset;
-    prefault_readable(mem_ + begin, static_cast<std::size_t>(size_ - begin));
+  // The decode touches every selected chunk byte twice; fault the mapping in
+  // bulk up front rather than a trap at a time during the first walk.
+  if (backend_ == IoBackend::kMmap && n > 0) {
+    const std::uint64_t begin = chunks_[ids.front()].offset;
+    const ChunkInfo& last = chunks_[ids.back()];
+    const std::uint64_t end = std::min(size_, last.offset + 20 + last.payload_len + 4);
+    prefault_readable(mem_ + begin, static_cast<std::size_t>(end - begin));
   }
 
-  // Pass 1: verify every chunk (header vs index, payload CRC) and count
-  // records per CPU, so pass 2 can reserve each output stream exactly —
-  // the model's memory is touched once, by the decode itself. The counting
-  // walk reads ~6 bytes/record with no stores; it is far cheaper than the
-  // copies it replaces. Payload offsets are kept so pass 2 skips the header
-  // reparse.
-  std::vector<std::size_t> counts(truncated_ ? 0 : meta.n_cpus, 0);
-  std::vector<std::uint64_t> payload_offs(chunks_.size(), 0);
-  std::vector<std::uint8_t> scratch;
-  for (std::size_t i = 0; i < chunks_.size(); ++i) {
-    const ChunkInfo& c = chunks_[i];
-    const std::uint64_t hlen = std::min<std::uint64_t>(size_ - c.offset, 20);
-    const std::uint8_t* head = view_at(c.offset, hlen, scratch);
-    std::size_t hpos = 0;
-    const std::uint64_t count = get_varint(head, static_cast<std::size_t>(hlen), hpos);
-    const std::uint64_t payload_len = get_varint(head, static_cast<std::size_t>(hlen), hpos);
-    if (count != c.records || payload_len != c.payload_len)
-      throw TraceReadError("chunk header disagrees with index", c.offset,
-                           static_cast<std::int64_t>(i));
-    payload_offs[i] = c.offset + hpos;
-    const std::uint8_t* body = view_at(payload_offs[i], c.payload_len + 4, scratch);
-    const auto blen = static_cast<std::size_t>(c.payload_len) + 4;
-    std::size_t cpos = static_cast<std::size_t>(c.payload_len);
-    const std::uint32_t stored = osnt::get_u32le(body, blen, cpos);
-    if (crc32(body, static_cast<std::size_t>(c.payload_len)) != stored)
-      throw TraceReadError("chunk CRC mismatch", payload_offs[i],
-                           static_cast<std::int64_t>(i));
-    walk_payload(body, static_cast<std::size_t>(c.payload_len), count, payload_offs[i],
-                 static_cast<std::int64_t>(i), cpu_bound,
-                 [&](std::size_t cpu, std::uint64_t, std::uint64_t, std::uint64_t,
-                     std::uint64_t, std::size_t) {
-                   if (cpu >= counts.size()) counts.resize(cpu + 1, 0);
-                   ++counts[cpu];
-                 });
-  }
+  // Pass 1: verify each chunk's header against the index and its CRC, and
+  // count its records per cpu into a sparse list — at most min(records,
+  // cpus) entries, never a chunks x cpus table.
+  std::vector<std::vector<CpuRun>> runs(n);
+  const std::vector<std::exception_ptr> errors = for_chunks(
+      n, pool, cpu_bound,
+      [&](std::size_t k, ChunkDecoder& dec, std::vector<std::uint8_t>& scratch) {
+        std::uint64_t payload_off = 0;
+        const std::uint8_t* payload = chunk_payload(ids[k], payload_off, scratch);
+        const ChunkInfo& c = chunks_[ids[k]];
+        std::vector<CpuRun>& mine = runs[k];
+        dec.count(payload, static_cast<std::size_t>(c.payload_len), c.records, payload_off,
+                  static_cast<std::int64_t>(ids[k]),
+                  [&](std::size_t cpu) { mine.push_back(CpuRun{cpu, 0, 0}); });
+        for (CpuRun& r : mine) r.count = dec.state(r.cpu).n;
+      });
+  // Only the chunks before the first pass-1 failure are decoded: an earlier
+  // chunk's order error must still win over it.
+  const auto failed = static_cast<std::size_t>(
+      std::find_if(errors.begin(), errors.end(), [](const auto& e) { return e != nullptr; }) -
+      errors.begin());
 
-  // Intact files have exactly meta.n_cpus streams; truncated files grow to
-  // the highest cpu actually seen (same rule as assemble()).
-  const std::size_t n_cpus = std::max<std::size_t>(meta.n_cpus, counts.size());
-  std::vector<std::vector<tracebuf::EventRecord>> per_cpu(n_cpus);
-  for (std::size_t cpu = 0; cpu < counts.size(); ++cpu) {
-    per_cpu[cpu].reserve(counts[cpu]);
-    prefault_writable(per_cpu[cpu].data(), counts[cpu] * sizeof(tracebuf::EventRecord));
-  }
-
-  // Pass 2: decode each chunk straight into the per-CPU streams. Per-chunk
-  // delta state resets; `last_ts` carries the cross-chunk monotonicity check
-  // the assemble() path performs during concatenation.
-  std::vector<TimeNs> prev_ts(n_cpus, 0);
-  std::vector<TimeNs> last_ts(n_cpus, 0);
-  for (std::size_t i = 0; i < chunks_.size(); ++i) {
-    const ChunkInfo& c = chunks_[i];
-    const std::uint8_t* body = view_at(payload_offs[i], c.payload_len, scratch);
-    decode_chunk_into(body, static_cast<std::size_t>(c.payload_len), c.records,
-                      payload_offs[i], static_cast<std::int64_t>(i), c.offset, cpu_bound,
-                      prev_ts, last_ts, per_cpu);
-  }
-
-  if (truncated_) refine_truncated_meta(meta, per_cpu);
-  return TraceModel(std::move(meta), std::move(per_cpu), tasks_);
-}
-
-namespace {
-
-/// Decode a set of chunks, optionally in parallel. Exceptions are captured
-/// per chunk and the lowest-index failure is rethrown — deterministic
-/// regardless of worker scheduling.
-std::vector<std::vector<tracebuf::EventRecord>> decode_chunks(
-    const std::vector<std::size_t>& ids, ThreadPool* pool,
-    const std::function<std::vector<tracebuf::EventRecord>(std::size_t)>& decode) {
-  std::vector<std::vector<tracebuf::EventRecord>> out(ids.size());
-  if (pool == nullptr || ids.size() < 2) {
-    for (std::size_t i = 0; i < ids.size(); ++i) out[i] = decode(ids[i]);
-    return out;
-  }
-  std::vector<std::exception_ptr> errors(ids.size());
-  pool->parallel_for(ids.size(), [&](std::size_t i) {
-    try {
-      out[i] = decode(ids[i]);
-    } catch (...) {
-      errors[i] = std::current_exception();
+  // Prefix sums give every chunk its slots in each cpu stream. Intact files
+  // have exactly meta.n_cpus streams; truncated ones grow to the highest cpu
+  // decoded.
+  std::size_t n_streams = meta_.n_cpus;
+  for (std::size_t k = 0; k < failed; ++k)
+    for (const CpuRun& r : runs[k]) n_streams = std::max(n_streams, r.cpu + 1);
+  std::vector<std::size_t> totals(n_streams, 0);
+  for (std::size_t k = 0; k < failed; ++k)
+    for (CpuRun& r : runs[k]) {
+      r.slot = totals[r.cpu];
+      totals[r.cpu] += r.count;
     }
-  });
-  for (const auto& err : errors)
-    if (err) std::rethrow_exception(err);
-  return out;
-}
+  std::vector<std::vector<tracebuf::EventRecord>> per_cpu(n_streams);
+  for (std::size_t cpu = 0; cpu < n_streams; ++cpu) per_cpu[cpu].resize(totals[cpu]);
 
-}  // namespace
+  // Pass 2: decode every chunk straight into its slots, checking the record
+  // order and the index entry on the way. Cpus first appear in the order
+  // pass 1 listed them. Chunks own disjoint slots, so the pool writes them
+  // without locks; the bound check only fires if the bytes changed since
+  // pass 1 (a file rewritten underneath).
+  std::vector<ChunkSpan> spans(failed);
+  const std::vector<std::exception_ptr> errors2 = for_chunks(
+      failed, pool, cpu_bound,
+      [&](std::size_t k, ChunkDecoder& dec, std::vector<std::uint8_t>& scratch) {
+        std::uint64_t payload_off = 0;
+        const std::uint8_t* payload = chunk_payload(ids[k], payload_off, scratch);
+        const std::vector<CpuRun>& mine = runs[k];
+        const ChunkInfo& c = chunks_[ids[k]];
+        std::size_t next = 0;  // the next cpu of `mine` to appear
+        spans[k] = walk_indexed(
+            dec, payload, payload_off, c, ids[k],
+            [&](const tracebuf::EventRecord& rec, CpuState& s) {
+              if (s.end == 0 && next < mine.size() && mine[next].cpu == rec.cpu) {
+                s.n = mine[next].slot;
+                s.end = s.n + mine[next++].count;
+              }
+              if (s.n == s.end)
+                throw TraceReadError("chunk changed while it was read", c.offset,
+                                     static_cast<std::int64_t>(ids[k]));
+              per_cpu[rec.cpu][s.n++] = rec;
+            });
+      });
+  // The lowest chunk's failure wins, whatever the pool did first.
+  for (std::size_t k = 0; k < failed; ++k) {
+    if (errors2[k]) std::rethrow_exception(errors2[k]);
+    if (k > 0) check_boundary(spans[k - 1], spans[k], chunks_[ids[k]], ids[k]);
+  }
+  if (failed < n) std::rethrow_exception(errors[failed]);
 
-TraceModel OsntReader::assemble(std::vector<std::vector<tracebuf::EventRecord>> chunk_records,
-                                const std::vector<std::size_t>& chunk_ids,
-                                ThreadPool* pool) const {
-  const std::size_t n_chunks = chunk_records.size();
   TraceMeta meta = meta_;
-
-  // Pass 1, parallel over chunks: split each chunk's merged stream into
-  // per-CPU buckets, so the concatenation pass below only ever touches its
-  // own CPU's records instead of rescanning the whole stream per CPU.
-  // Buckets are pre-sized to the cpu count for intact files (decode already
-  // bounded every cpu id), so the loop is allocation-free per record.
-  std::vector<std::vector<std::vector<tracebuf::EventRecord>>> buckets(n_chunks);
-  auto bucket_chunk = [&](std::size_t k) {
-    auto& out = buckets[k];
-    if (!truncated_) out.resize(meta.n_cpus);
-    for (const auto& rec : chunk_records[k]) {
-      if (rec.cpu >= out.size()) out.resize(rec.cpu + 1u);
-      out[rec.cpu].push_back(rec);
-    }
-    chunk_records[k].clear();
-    chunk_records[k].shrink_to_fit();
-  };
-  if (pool != nullptr && n_chunks > 1) {
-    pool->parallel_for(n_chunks, bucket_chunk);
-  } else {
-    for (std::size_t k = 0; k < n_chunks; ++k) bucket_chunk(k);
-  }
-
-  // CPU-range check and per-CPU totals — serial but only O(chunks * cpus).
-  std::size_t n_cpus = meta.n_cpus;
-  for (std::size_t k = 0; k < n_chunks; ++k) {
-    if (buckets[k].size() > n_cpus) {
-      if (!truncated_)
-        throw TraceReadError("chunk record cpu >= n_cpus", chunks_[chunk_ids[k]].offset,
-                             static_cast<std::int64_t>(chunk_ids[k]));
-      n_cpus = buckets[k].size();
-    }
-  }
-  std::vector<std::size_t> totals(n_cpus, 0);
-  for (const auto& chunk : buckets)
-    for (std::size_t cpu = 0; cpu < chunk.size(); ++cpu) totals[cpu] += chunk[cpu].size();
-
-  // Pass 2, parallel over CPUs: concatenate each CPU's buckets in chunk
-  // order with an exact reserve, checking that CPU's monotonicity across
-  // chunk boundaries. Errors are captured and the lowest-cpu one is
-  // rethrown — deterministic at any worker count.
-  std::vector<std::vector<tracebuf::EventRecord>> per_cpu(n_cpus);
-  std::vector<std::exception_ptr> errors(n_cpus);
-  auto gather_cpu = [&](std::size_t cpu) {
-    try {
-      auto& dst = per_cpu[cpu];
-      dst.reserve(totals[cpu]);
-      TimeNs last_ts = 0;
-      for (std::size_t k = 0; k < n_chunks; ++k) {
-        if (cpu >= buckets[k].size()) continue;
-        for (const auto& rec : buckets[k][cpu]) {
-          if (rec.timestamp < last_ts)
-            throw TraceReadError("stream not time-ordered across chunks",
-                                 chunks_[chunk_ids[k]].offset,
-                                 static_cast<std::int64_t>(chunk_ids[k]));
-          last_ts = rec.timestamp;
-          dst.push_back(rec);
-        }
-      }
-    } catch (...) {
-      errors[cpu] = std::current_exception();
-    }
-  };
-  if (pool != nullptr && n_cpus > 1) {
-    pool->parallel_for(n_cpus, gather_cpu);
-  } else {
-    for (std::size_t cpu = 0; cpu < n_cpus; ++cpu) gather_cpu(cpu);
-  }
-  for (const auto& err : errors)
-    if (err) std::rethrow_exception(err);
-
   if (truncated_) refine_truncated_meta(meta, per_cpu);
   return TraceModel(std::move(meta), std::move(per_cpu), tasks_);
 }
 
 TraceModel OsntReader::read_all(ThreadPool* pool) const {
-  // Without a pool (or with a single chunk) the direct path wins: it avoids
-  // the merged-per-chunk intermediates and the bucket/concatenate copies the
-  // parallel assemble needs. Both paths produce bit-identical models.
-  if (pool == nullptr || chunks_.size() < 2) return read_all_direct();
   std::vector<std::size_t> ids(chunks_.size());
   for (std::size_t i = 0; i < ids.size(); ++i) ids[i] = i;
-  auto decoded =
-      decode_chunks(ids, pool, [this](std::size_t i) { return decode_chunk(i); });
-  return assemble(std::move(decoded), ids, pool);
+  return decode(ids, pool);
 }
 
 std::pair<std::size_t, std::size_t> OsntReader::window_chunk_range(TimeNs t0,
                                                                    TimeNs t1) const {
   if (t1 <= t0 || chunks_.empty()) return {0, 0};
-  // Chunks slice the global merged stream, so their time ranges are sorted:
-  // binary-search the first chunk that can reach t0, walk to the last whose
-  // t_first is below t1.
+  // Chunks slice the global merged stream, so their time ranges are sorted
+  // (checked at open): binary-search the first chunk that can reach t0, walk
+  // to the last whose t_first is below t1.
   const auto first = std::partition_point(chunks_.begin(), chunks_.end(),
                                           [t0](const ChunkInfo& c) { return c.t_last < t0; });
   auto last = first;
@@ -802,9 +783,7 @@ TraceModel OsntReader::read_chunks(const std::vector<std::size_t>& ids,
   for (std::size_t i = 0; i < ids.size(); ++i)
     if (ids[i] >= chunks_.size() || (i > 0 && ids[i] <= ids[i - 1]))
       throw TraceReadError("chunk ids must be strictly increasing and in range", 0);
-  auto decoded =
-      decode_chunks(ids, pool, [this](std::size_t i) { return decode_chunk(i); });
-  return assemble(std::move(decoded), ids, pool);
+  return decode(ids, pool);
 }
 
 TraceModel OsntReader::read_window(TimeNs t0, TimeNs t1, ThreadPool* pool) const {
@@ -816,17 +795,22 @@ TraceModel OsntReader::read_window(TimeNs t0, TimeNs t1, ThreadPool* pool) const
 
 void OsntReader::for_each(
     const std::function<void(const tracebuf::EventRecord&)>& fn) const {
-  std::vector<TimeNs> last_ts;
+  require_ordered_index();
+  ChunkDecoder dec(decode_cpu_bound());
+  std::vector<std::uint8_t> scratch;
+  std::vector<tracebuf::EventRecord> records;
+  ChunkSpan prev;
   for (std::size_t i = 0; i < chunks_.size(); ++i) {
-    const auto records = decode_chunk(i);
-    for (const auto& rec : records) {
-      if (rec.cpu >= last_ts.size()) last_ts.resize(rec.cpu + 1u, 0);
-      if (rec.timestamp < last_ts[rec.cpu])
-        throw TraceReadError("stream not time-ordered across chunks", chunks_[i].offset,
-                             static_cast<std::int64_t>(i));
-      last_ts[rec.cpu] = rec.timestamp;
-      fn(rec);
-    }
+    // A chunk is checked whole before any of its records is handed out.
+    std::uint64_t payload_off = 0;
+    const std::uint8_t* payload = chunk_payload(i, payload_off, scratch);
+    records.clear();
+    const ChunkSpan span =
+        walk_indexed(dec, payload, payload_off, chunks_[i], i,
+                     [&](const tracebuf::EventRecord& rec, CpuState&) { records.push_back(rec); });
+    if (i > 0) check_boundary(prev, span, chunks_[i], i);
+    prev = span;
+    for (const auto& rec : records) fn(rec);
   }
 }
 
@@ -841,29 +825,20 @@ VerifyReport OsntReader::verify() const {
   report.issues = open_issues_;
   report.chunks = chunks_.size();
 
-  std::vector<TimeNs> last_ts;
+  ChunkDecoder dec(decode_cpu_bound());
+  std::vector<std::uint8_t> scratch;
+  std::optional<ChunkSpan> prev;  // the last chunk that decoded
   for (std::size_t i = 0; i < chunks_.size(); ++i) {
-    const ChunkInfo& c = chunks_[i];
     try {
-      const auto records = decode_chunk(i);
-      if (records.front().timestamp != c.t_first || records.back().timestamp != c.t_last)
-        report.issues.push_back(ChunkIssue{static_cast<std::int64_t>(i), c.offset,
-                                           "chunk time range disagrees with index"});
-      std::uint64_t mask = 0;
-      for (const auto& rec : records) {
-        mask |= 1ULL << std::min<std::uint32_t>(rec.cpu, 63);
-        if (rec.cpu >= last_ts.size()) last_ts.resize(rec.cpu + 1u, 0);
-        if (rec.timestamp < last_ts[rec.cpu]) {
-          report.issues.push_back(ChunkIssue{static_cast<std::int64_t>(i), c.offset,
-                                             "stream not time-ordered across chunks"});
-          break;
-        }
-        last_ts[rec.cpu] = rec.timestamp;
-      }
-      if (mask != c.cpu_mask)
-        report.issues.push_back(ChunkIssue{static_cast<std::int64_t>(i), c.offset,
-                                           "chunk cpu mask disagrees with index"});
-      report.records += records.size();
+      std::uint64_t payload_off = 0;
+      const std::uint8_t* payload = chunk_payload(i, payload_off, scratch);
+      const ChunkSpan span = walk_indexed(dec, payload, payload_off, chunks_[i], i,
+                                          [](const tracebuf::EventRecord&, CpuState&) {});
+      // Each break in the order is reported once: at the chunk where it
+      // happens, and not again where an unsorted index already named it.
+      const std::optional<ChunkSpan> before = std::exchange(prev, span);
+      if (before && !index_order_) check_boundary(*before, span, chunks_[i], i);
+      report.records += chunks_[i].records;
     } catch (const TraceReadError& e) {
       report.issues.push_back(
           ChunkIssue{static_cast<std::int64_t>(i), e.byte_offset(), e.what()});
@@ -873,29 +848,28 @@ VerifyReport OsntReader::verify() const {
 }
 
 // ---------------------------------------------------------------------------
-// Window clipping (shared with the generic EventSource fallback)
+// Window clipping (shared with the query engine and EventSource)
 // ---------------------------------------------------------------------------
 
-std::vector<std::vector<tracebuf::EventRecord>> clip_to_window(
-    const std::vector<std::vector<tracebuf::EventRecord>>& per_cpu, TimeNs t0, TimeNs t1) {
-  std::vector<std::vector<tracebuf::EventRecord>> out(per_cpu.size());
-  for (std::size_t cpu = 0; cpu < per_cpu.size(); ++cpu) {
-    const auto& stream = per_cpu[cpu];
+TraceModel window_of(const TraceModel& model, TimeNs t0, TimeNs t1) {
+  std::vector<std::vector<tracebuf::EventRecord>> per_cpu(model.cpu_count());
+  for (CpuId c = 0; c < model.cpu_count(); ++c) {
+    const auto& stream = model.cpu_events(c);
     // The window slice of this cpu's (time-sorted) stream.
     const auto lo = std::partition_point(
         stream.begin(), stream.end(),
         [t0](const tracebuf::EventRecord& r) { return r.timestamp < t0; });
     const auto hi = std::partition_point(
         lo, stream.end(), [t1](const tracebuf::EventRecord& r) { return r.timestamp < t1; });
-    std::vector<tracebuf::EventRecord> kept(lo, hi);
+    const auto n = static_cast<std::size_t>(hi - lo);
 
     // Frame repair: drop exits whose entry predates the window, and entries
     // whose exit postdates it, so pairing stays balanced. Nesting is proper
     // per CPU, so removing an unmatched frame never unbalances another.
-    std::vector<bool> drop(kept.size(), false);
+    std::vector<bool> drop(n, false);
     std::vector<std::size_t> stack;
-    for (std::size_t i = 0; i < kept.size(); ++i) {
-      const auto type = static_cast<EventType>(kept[i].event);
+    for (std::size_t i = 0; i < n; ++i) {
+      const auto type = static_cast<EventType>(lo[static_cast<std::ptrdiff_t>(i)].event);
       if (is_entry(type)) {
         stack.push_back(i);
       } else if (is_exit(type)) {
@@ -908,24 +882,16 @@ std::vector<std::vector<tracebuf::EventRecord>> clip_to_window(
     }
     for (const std::size_t i : stack) drop[i] = true;  // exit happens after t1
 
-    auto& dst = out[cpu];
-    dst.reserve(kept.size());
-    for (std::size_t i = 0; i < kept.size(); ++i)
-      if (!drop[i]) dst.push_back(kept[i]);
+    auto& dst = per_cpu[c];
+    dst.reserve(n);
+    for (std::size_t i = 0; i < n; ++i)
+      if (!drop[i]) dst.push_back(lo[static_cast<std::ptrdiff_t>(i)]);
   }
-  return out;
-}
-
-TraceModel window_of(const TraceModel& model, TimeNs t0, TimeNs t1) {
-  std::vector<std::vector<tracebuf::EventRecord>> per_cpu;
-  per_cpu.reserve(model.cpu_count());
-  for (CpuId c = 0; c < model.cpu_count(); ++c) per_cpu.push_back(model.cpu_events(c));
-  auto clipped = clip_to_window(per_cpu, t0, t1);
   TraceMeta meta = model.meta();
   meta.start_ns = std::max(meta.start_ns, t0);
   meta.end_ns = std::min(meta.end_ns, t1);
   if (meta.end_ns < meta.start_ns) meta.end_ns = meta.start_ns;
-  return TraceModel(std::move(meta), std::move(clipped), model.tasks());
+  return TraceModel(std::move(meta), std::move(per_cpu), model.tasks());
 }
 
 }  // namespace osn::trace

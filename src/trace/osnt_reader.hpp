@@ -10,24 +10,34 @@
 //    file costs O(index), not O(trace);
 //  * read_window() binary-searches the index and decodes only the chunks
 //    overlapping the window;
-//  * read_all() decodes chunks in parallel on a common::ThreadPool — chunks
-//    are independently decodable by construction (per-chunk delta reset) and
-//    concatenate per CPU in chunk order, so the result is bit-identical to a
-//    serial decode at any worker count;
-//  * verify() checks every chunk's CRC-32 and structure without building a
-//    model, and reports truncation (writer died before finish()) and index
-//    damage (trailer/index unreadable -> index rebuilt by a forward scan,
-//    salvaging every chunk up to the first corrupt byte);
+//  * verify() checks every chunk's CRC-32, structure and record order
+//    without building a model, and reports truncation (writer died before
+//    finish()) and index damage (trailer/index unreadable -> index rebuilt
+//    by a forward scan, salvaging every chunk up to the first corrupt byte);
 //  * index_summary() exposes the pre-aggregate block (chunk_aggregate.hpp)
 //    when the file carries an intact one, so summary queries can skip record
 //    decode entirely.
 //
-// I/O modes: file-backed readers mmap the file read-only by default and
-// decode straight out of the mapping (zero-copy); when mmap fails — or
-// IoMode::kPread is requested — every access falls back to positioned pread
-// into a caller-local scratch buffer, which stays fully thread-safe and
-// needs O(chunk) memory. Buffer-backed readers (owned or borrowed) are
-// always zero-copy.
+// One record order: records are in global (timestamp, cpu) order, as every
+// writer emits them. Every read checks it per record, across chunks and
+// against the index (sorted time ranges; each chunk's first/last timestamp
+// and cpu mask equal to its entry), refusing a file that breaks it with the
+// chunk's TraceReadError — a window search never silently misses records.
+//
+// One decode: read_all/read_chunks/read_window count records per CPU (pass
+// 1, checking each chunk's header and CRC), give every chunk its slots by
+// prefix sums and decode straight into them (pass 2, checking the record
+// order and the index), serially or on a common::ThreadPool. Chunks decode
+// independently (per-chunk delta reset), so the model — or the lowest
+// failing chunk's error — is identical at any worker count, and decode
+// memory is O(records + threads x cpus), never chunks x cpus.
+//
+// I/O modes: file-backed readers mmap the file read-only and decode straight
+// out of the mapping (zero-copy); when mmap fails — or IoMode::kPread asks
+// for it (tests, benches) — every access falls back to positioned pread into
+// a caller-local scratch buffer, which stays fully thread-safe and needs
+// O(chunk) memory. Buffer-backed readers (owned or borrowed) are always
+// zero-copy.
 //
 // v3 is the only layout served. A v1/v2 file is refused at open with a
 // TraceReadError naming the one conversion path, `osn-analyze upgrade IN
@@ -139,7 +149,7 @@ class OsntReader {
   const std::map<Pid, TaskInfo>& tasks() const { return tasks_; }
 
   /// Decodes the whole trace. With a pool, chunks decode in parallel; the
-  /// result is bit-identical at any worker count.
+  /// result, or the error, is identical at any worker count.
   TraceModel read_all(ThreadPool* pool = nullptr) const;
 
   /// Decodes only the records with t0 <= timestamp < t1, touching only the
@@ -166,13 +176,14 @@ class OsntReader {
   TraceModel read_chunks(const std::vector<std::size_t>& ids,
                          ThreadPool* pool = nullptr) const;
 
-  /// Streams every record in global merged order, chunk at a time — O(chunk)
-  /// memory.
+  /// Streams every record in global (timestamp, cpu) order, chunk at a time
+  /// — O(chunk) memory. A chunk is fully checked before its records are
+  /// handed out.
   void for_each(const std::function<void(const tracebuf::EventRecord&)>& fn) const;
 
-  /// Integrity check: per-chunk CRC + structural decode + cross-chunk
-  /// ordering, footer parse. Never throws for in-file corruption — findings
-  /// land in the report.
+  /// Integrity check: per-chunk CRC, structural decode, record order and
+  /// index agreement, footer parse — the checks every read makes. Never
+  /// throws for in-file corruption — findings land in the report.
   VerifyReport verify() const;
 
  private:
@@ -191,15 +202,15 @@ class OsntReader {
   /// the reader and `scratch` live.
   const std::uint8_t* view_at(std::uint64_t offset, std::uint64_t len,
                               std::vector<std::uint8_t>& scratch) const;
-  /// Decodes chunk `i` (CRC-verified) into records in stored (merged) order.
-  std::vector<tracebuf::EventRecord> decode_chunk(std::size_t i) const;
-  TraceModel assemble(std::vector<std::vector<tracebuf::EventRecord>> chunk_records,
-                      const std::vector<std::size_t>& chunk_ids, ThreadPool* pool) const;
-  /// Serial read_all fast path: a counting pass sizes every per-CPU stream
-  /// exactly, then chunks decode straight into the final streams — no merged
-  /// intermediate, no bucket/concatenate copies. Output is bit-identical to
-  /// the pooled assemble() path.
-  TraceModel read_all_direct() const;
+  /// Chunk `i`'s payload, after its header was checked against the index and
+  /// its CRC verified; sets `payload_off` to the payload's file offset.
+  const std::uint8_t* chunk_payload(std::size_t i, std::uint64_t& payload_off,
+                                    std::vector<std::uint8_t>& scratch) const;
+  /// Throws the index-order issue found at open, if any.
+  void require_ordered_index() const;
+  /// The one model-building decode behind read_all, read_chunks and
+  /// read_window: count per cpu, then decode into exact slots.
+  TraceModel decode(const std::vector<std::size_t>& ids, ThreadPool* pool) const;
 
   std::FILE* file_ = nullptr;            ///< file-backed mode
   MappedFile map_;                       ///< file-backed mode with mmap
@@ -216,21 +227,22 @@ class OsntReader {
   /// Problems found while opening (index recovery, footer damage, a rejected
   /// aggregate block); prepended to every verify() report.
   std::vector<ChunkIssue> open_issues_;
+  /// The first chunk whose index time range breaks the record order; every
+  /// read refuses the file when set.
+  std::optional<ChunkIssue> index_order_;
   std::vector<ChunkInfo> chunks_;
   std::optional<IndexSummary> index_summary_;
   TraceMeta meta_;
   std::map<Pid, TaskInfo> tasks_;
 };
 
-/// Clips per-CPU streams to [t0, t1) and repairs kernel entry/exit frames cut
-/// by the edges: exits whose entry predates the window and entries whose exit
-/// postdates it are dropped (point events and sched/app marks are kept), so
-/// the result satisfies TraceModel's pairing validation. Shared by
-/// OsntReader::read_window and the generic EventSource window fallback.
-std::vector<std::vector<tracebuf::EventRecord>> clip_to_window(
-    const std::vector<std::vector<tracebuf::EventRecord>>& per_cpu, TimeNs t0, TimeNs t1);
-
-/// Windowed copy of a model: clip_to_window + clamped meta.
+/// Windowed copy of a model: every cpu stream clipped to [t0, t1), with the
+/// kernel entry/exit frames cut by the edges repaired — exits whose entry
+/// predates the window and entries whose exit postdates it are dropped
+/// (point events and sched/app marks are kept), so the result satisfies
+/// TraceModel's pairing validation — and meta start/end clamped to the
+/// window. Shared by OsntReader::read_window, the query engine and the
+/// generic EventSource window fallback.
 TraceModel window_of(const TraceModel& model, TimeNs t0, TimeNs t1);
 
 }  // namespace osn::trace

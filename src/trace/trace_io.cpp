@@ -382,24 +382,21 @@ void OsntStreamWriter::write_bytes(const void* data, std::size_t n) {
 
 void OsntStreamWriter::append(const tracebuf::EventRecord& rec) {
   OSN_DASSERT_MSG(!finished_, "append after finish");
-  if (rec.cpu >= prev_ts_.size()) {
-    prev_ts_.resize(rec.cpu + 1u, 0);
-    chunk_prev_ts_.resize(rec.cpu + 1u, 0);
-    chunk_seen_.resize(rec.cpu + 1u, false);
-  }
-  OSN_DASSERT_MSG(rec.timestamp >= prev_ts_[rec.cpu], "stream not time-ordered");
+  OSN_DASSERT_MSG(rec.timestamp > last_ts_ ||
+                      (rec.timestamp == last_ts_ && rec.cpu >= last_cpu_),
+                  "stream not time-ordered: append in (timestamp, cpu) order");
+  last_ts_ = rec.timestamp;
+  last_cpu_ = rec.cpu;
+  if (rec.cpu >= chunk_prev_ts_.size()) chunk_prev_ts_.resize(rec.cpu + 1u, 0);
   put_varint(chunk_buf_, rec.cpu);
-  // Per-chunk delta reset: a CPU's first record in a chunk carries its
-  // absolute timestamp, so every chunk decodes independently (the basis of
-  // parallel decode and windowed reads).
-  const TimeNs base = chunk_seen_[rec.cpu] ? chunk_prev_ts_[rec.cpu] : 0;
-  put_varint(chunk_buf_, rec.timestamp - base);
+  // Per-chunk delta reset: each flush zeroes the bases, so a CPU's first
+  // record in a chunk carries its absolute timestamp and every chunk decodes
+  // independently (the basis of parallel decode and windowed reads).
+  put_varint(chunk_buf_, rec.timestamp - chunk_prev_ts_[rec.cpu]);
   chunk_prev_ts_[rec.cpu] = rec.timestamp;
-  chunk_seen_[rec.cpu] = true;
   if (in_chunk_ == 0) cur_.t_first = rec.timestamp;
   cur_.t_last = rec.timestamp;
   cur_.cpu_mask |= 1ULL << std::min<std::uint32_t>(rec.cpu, 63);
-  prev_ts_[rec.cpu] = rec.timestamp;
   put_varint(chunk_buf_, rec.pid);
   put_varint(chunk_buf_, rec.event);
   put_varint(chunk_buf_, rec.arg);
@@ -425,7 +422,7 @@ void OsntStreamWriter::flush_chunk() {
   write_bytes(crc.data(), crc.size());
   index_.push_back(cur_);
   cur_ = ChunkEntry{};
-  std::fill(chunk_seen_.begin(), chunk_seen_.end(), false);
+  std::fill(chunk_prev_ts_.begin(), chunk_prev_ts_.end(), 0);
   if (aggregator_) {
     osnt::put_aggregate(agg_blobs_, aggregator_->take_chunk());
     ++agg_chunks_;

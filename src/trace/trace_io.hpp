@@ -115,8 +115,9 @@ TraceModel read_trace_file(const std::string& path);
 
 /// Incremental writer of the OSNT v3 layout.
 ///
-/// Feed records in global merged order via append() — per-CPU subsequences
-/// must stay time-ordered (the consumer daemon's emit order satisfies both).
+/// Feed records in global (timestamp, cpu) order via append() — the order
+/// TraceModel::merged() and the consumer daemon emit, and the one order
+/// OsntReader accepts (an OSN_DASSERT contract here).
 /// Records are buffered into chunks of `chunk_records` and flushed to disk as
 /// each chunk fills, so memory stays O(chunk) regardless of trace length.
 /// finish() writes the terminator, metadata footer and chunk index. A
@@ -178,9 +179,9 @@ class OsntStreamWriter {
   std::uint64_t records_ = 0;
   std::uint64_t file_pos_ = 0;
   std::vector<std::uint8_t> chunk_buf_;
-  std::vector<TimeNs> prev_ts_;        ///< per-cpu previous timestamp (order check)
-  std::vector<TimeNs> chunk_prev_ts_;  ///< per-cpu delta base within the open chunk
-  std::vector<bool> chunk_seen_;       ///< cpu has appeared in the open chunk
+  TimeNs last_ts_ = 0;                 ///< last appended record's key (order check)
+  std::uint16_t last_cpu_ = 0;
+  std::vector<TimeNs> chunk_prev_ts_;  ///< per-cpu delta base within the open chunk (0: unseen)
   ChunkEntry cur_;                     ///< stats of the open chunk
   std::vector<ChunkEntry> index_;      ///< flushed chunks
   std::unique_ptr<ChunkAggregator> aggregator_;  ///< optional pre-aggregate builder

@@ -14,6 +14,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/thread_pool.hpp"
 #include "trace/osnt_reader.hpp"
 #include "trace/trace_io.hpp"
 #include "trace_builder.hpp"
@@ -83,6 +84,36 @@ TEST(ReaderConcurrent, MixedWindowAndFullReads) {
       // run verify() to stress the shared index paths.
       got[i] = i % 2 == 0 ? reader.read_all() : reader.read_window(ms(1), ms(2));
       EXPECT_TRUE(reader.verify().intact());
+    });
+  }
+  for (auto& t : threads) t.join();
+  for (std::size_t i = 0; i < kThreads; ++i)
+    EXPECT_EQ(got[i], i % 2 == 0 ? expect_all : expect_win) << "thread " << i;
+  std::remove(path.c_str());
+}
+
+// Pooled decodes from many callers at once, all on one shared pool: each
+// chunk's slots in the per-cpu streams are written by whichever worker
+// decodes it, so this is where a race in the parallel slot writes would show.
+TEST(ReaderConcurrent, PooledReadsFromManyThreadsMatchSerial) {
+  const TraceModel original = interesting_model();
+  const std::string path = temp_path("v3_pooled");
+  write_v3(original, path);
+
+  OsntReader reader(path);
+  const TraceModel expect_all = reader.read_all();
+  const TraceModel expect_win = reader.read_window(ms(1), ms(2));
+  ThreadPool pool(3);
+  EXPECT_EQ(reader.read_all(&pool), expect_all);
+  EXPECT_EQ(reader.read_window(ms(1), ms(2), &pool), expect_win);
+
+  constexpr std::size_t kThreads = 6;
+  std::vector<TraceModel> got(kThreads);
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (std::size_t i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&, i] {
+      got[i] = i % 2 == 0 ? reader.read_all(&pool) : reader.read_window(ms(1), ms(2), &pool);
     });
   }
   for (auto& t : threads) t.join();

@@ -13,6 +13,7 @@
 #include "noise/analysis.hpp"
 #include "query/engine.hpp"
 #include "serve/client.hpp"
+#include "serve/query.hpp"
 #include "serve/server.hpp"
 #include "serve_helpers.hpp"
 
@@ -565,6 +566,36 @@ TEST(Server, BinaryWireMatchesJsonWireByteForByte) {
   EXPECT_GE(net->find("open")->number, 2.0);
   EXPECT_GE(net->find("accepted")->number, 2.0);
 
+  server.stop();
+}
+
+// Chart documents at fine quanta run past 1 MiB. The client reads any
+// document the server can queue, on both wires, byte-identical to the
+// offline engine.
+TEST(Server, ChartLargerThanOneMebibyteRoundTripsOnBothWires) {
+  TempDir dir("server_big_chart");
+  write_trace(make_model(2'000), dir.path(), "t");
+  Request chart;
+  chart.id = 1;
+  chart.op = Op::kChart;
+  chart.trace = "t";
+  chart.quantum_us = 1;
+
+  query::Engine engine;
+  trace::OsntReader reader(dir.path() + "/t.osnt");
+  const std::string offline = engine.run(reader, "", plan_from_request(chart));
+  ASSERT_GT(offline.size(), std::size_t{1} << 20);
+  ASSERT_LE(offline.size(), kMaxResponseBytes);
+
+  Server server(options_for(dir.path()));
+  ASSERT_TRUE(server.start());
+  for (const Wire wire : {Wire::kJson, Wire::kBinary}) {
+    Client client("127.0.0.1", server.port(), Deadline::after(sec(10)), wire);
+    ASSERT_TRUE(client.ok());
+    const Response resp = client.call(chart, Deadline::after(sec(60)));
+    ASSERT_TRUE(resp.ok) << wire_name(wire) << ": " << resp.message;
+    EXPECT_EQ(resp.payload, offline) << wire_name(wire);
+  }
   server.stop();
 }
 

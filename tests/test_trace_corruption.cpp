@@ -7,14 +7,21 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <sys/resource.h>
+#include <sys/wait.h>
+
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
+#include <fstream>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "common/crc32.hpp"
 #include "common/rng.hpp"
+#include "common/thread_pool.hpp"
 #include "golden.hpp"
 #include "trace/osnt_layout.hpp"
 #include "trace/osnt_reader.hpp"
@@ -65,14 +72,68 @@ std::vector<std::uint8_t> v3_bytes(const TraceModel& model, std::size_t chunk_re
   return bytes;
 }
 
-/// The battery's pass criterion: opening/reading/verifying the buffer either
-/// succeeds or throws TraceReadError — anything else (abort, other exception,
-/// sanitizer finding) fails the test.
+/// What one read produced: the model, or the TraceReadError it threw.
+struct ReadOutcome {
+  std::optional<TraceModel> model;
+  std::string error;
+  std::uint64_t offset = 0;
+  std::int64_t chunk = TraceReadError::kNoChunk;
+};
+
+template <class Read>
+ReadOutcome outcome_of(Read&& read) {
+  ReadOutcome out;
+  try {
+    out.model = read();
+  } catch (const TraceReadError& e) {
+    out.error = e.what();
+    out.offset = e.byte_offset();
+    out.chunk = e.chunk_id();
+  }
+  return out;
+}
+
+void expect_same_outcome(const ReadOutcome& pooled, const ReadOutcome& serial,
+                         const char* what) {
+  EXPECT_EQ(pooled.model, serial.model) << what;
+  EXPECT_EQ(pooled.error, serial.error) << what;
+  EXPECT_EQ(pooled.offset, serial.offset) << what;
+  EXPECT_EQ(pooled.chunk, serial.chunk) << what;
+}
+
+ThreadPool& shared_pool() {
+  static ThreadPool pool(3);
+  return pool;
+}
+
+/// The battery's pass criterion: opening the buffer and every decode entry
+/// (read_all serial and pooled, a mid-span read_window, read_chunks over a
+/// chunk subset, for_each, verify) either succeeds or throws TraceReadError
+/// — anything else (abort, other exception, sanitizer finding) fails the
+/// test. The pool changes nothing: the same model, or the same error (the
+/// lowest failing chunk's).
 void expect_clean_failure_or_success(std::vector<std::uint8_t> bytes) {
   try {
     OsntReader reader(std::move(bytes));
-    (void)reader.verify();    // never throws for in-file corruption
-    (void)reader.read_all();  // may throw TraceReadError
+    (void)reader.verify();  // never throws for in-file corruption
+    ThreadPool& pool = shared_pool();
+    expect_same_outcome(outcome_of([&] { return reader.read_all(&pool); }),
+                        outcome_of([&] { return reader.read_all(); }), "read_all");
+
+    const std::vector<ChunkInfo>& chunks = reader.chunks();
+    const TimeNs t0 = chunks.empty() ? 0 : chunks.front().t_first;
+    const TimeNs t1 = chunks.empty() ? 0 : chunks.back().t_last;
+    const TimeNs mid0 = t0 + (t1 - t0) / 3, mid1 = t0 + (t1 - t0) / 3 * 2;
+    expect_same_outcome(outcome_of([&] { return reader.read_window(mid0, mid1, &pool); }),
+                        outcome_of([&] { return reader.read_window(mid0, mid1); }),
+                        "read_window");
+
+    std::vector<std::size_t> odd;
+    for (std::size_t i = 1; i < chunks.size(); i += 2) odd.push_back(i);
+    expect_same_outcome(outcome_of([&] { return reader.read_chunks(odd, &pool); }),
+                        outcome_of([&] { return reader.read_chunks(odd); }), "read_chunks");
+
+    reader.for_each([](const tracebuf::EventRecord&) {});
   } catch (const TraceReadError&) {
     // Structured failure with a byte offset: exactly what corrupt input owes.
   }
@@ -372,6 +433,225 @@ TEST(TraceCorruption, HostileCpuVarintFailsBoundedWhenTruncated) {
   bytes.resize(bytes.size() - osnt::kTrailerSize - 3);
 
   expect_clean_failure_or_success(std::move(bytes));
+}
+
+// ---------------------------------------------------------------------------
+// The record-order rule: (timestamp, cpu) order, or the file is refused.
+// ---------------------------------------------------------------------------
+
+/// Encodes `records` as a v3 file in the order given, `chunk_records` per
+/// chunk. Unlike OsntStreamWriter it does not check the record order, so it
+/// can build the files the project's writers never produce.
+std::vector<std::uint8_t> encode_unchecked(const std::vector<tracebuf::EventRecord>& records,
+                                           std::size_t chunk_records, const TraceMeta& meta,
+                                           const std::map<Pid, TaskInfo>& tasks) {
+  std::vector<std::uint8_t> out;
+  put_varint(out, osnt::kMagic);
+  put_varint(out, kOsntVersion);
+  std::vector<std::uint8_t> index;
+  std::size_t n_chunks = 0;
+  for (std::size_t begin = 0; begin < records.size(); begin += chunk_records, ++n_chunks) {
+    const std::size_t end = std::min(records.size(), begin + chunk_records);
+    std::vector<std::uint8_t> payload;
+    std::map<std::uint16_t, TimeNs> prev;  // per-cpu delta base, reset per chunk
+    std::uint64_t mask = 0;
+    for (std::size_t i = begin; i < end; ++i) {
+      const tracebuf::EventRecord& rec = records[i];
+      put_varint(payload, rec.cpu);
+      put_varint(payload, rec.timestamp - prev[rec.cpu]);
+      prev[rec.cpu] = rec.timestamp;
+      put_varint(payload, rec.pid);
+      put_varint(payload, rec.event);
+      put_varint(payload, rec.arg);
+      mask |= 1ULL << std::min<std::uint32_t>(rec.cpu, 63);
+    }
+    put_varint(index, out.size());
+    put_varint(index, end - begin);
+    put_varint(index, payload.size());
+    put_varint(index, records[begin].timestamp);
+    put_varint(index, records[end - 1].timestamp - records[begin].timestamp);
+    put_varint(index, mask);
+    put_varint(out, end - begin);
+    put_varint(out, payload.size());
+    out.insert(out.end(), payload.begin(), payload.end());
+    osnt::put_u32le(out, crc32(payload.data(), payload.size()));
+  }
+  put_varint(out, 0);  // chunk terminator
+  const std::uint64_t footer_offset = out.size();
+  osnt::put_meta_and_tasks(out, meta, tasks);
+  osnt::put_drain(out, meta.drain);
+  const std::uint64_t index_offset = out.size();
+  std::vector<std::uint8_t> entries;
+  put_varint(entries, n_chunks);
+  entries.insert(entries.end(), index.begin(), index.end());
+  osnt::put_u32le(entries, crc32(entries.data(), entries.size()));
+  out.insert(out.end(), entries.begin(), entries.end());
+  osnt::put_u64le(out, index_offset);
+  osnt::put_u64le(out, footer_offset);
+  osnt::put_u32le(out, 0);  // flags: finished
+  osnt::put_u32le(out, osnt::kTrailerMagic);
+  return out;
+}
+
+TraceMeta two_cpu_meta() {
+  TraceMeta meta;
+  meta.n_cpus = 2;
+  meta.tick_period_ns = 10 * kNsPerMs;
+  meta.workload = "order";
+  meta.end_ns = 200;
+  return meta;
+}
+
+tracebuf::EventRecord wakeup(TimeNs ts, CpuId cpu) {
+  return make_record(ts, cpu, 1, EventType::kSchedWakeup, 0);
+}
+
+/// Every read of `bytes` throws TraceReadError naming `chunk` at `offset`;
+/// verify() reports an issue on that chunk.
+void expect_refused(const std::vector<std::uint8_t>& bytes, std::int64_t chunk,
+                    std::uint64_t offset) {
+  OsntReader reader(bytes);
+  const VerifyReport report = reader.verify();
+  EXPECT_FALSE(report.intact());
+  EXPECT_TRUE(std::any_of(report.issues.begin(), report.issues.end(),
+                          [&](const ChunkIssue& i) { return i.chunk == chunk; }));
+  ThreadPool& pool = shared_pool();
+  const auto expect_throws = [&](const char* what, auto&& read) {
+    const ReadOutcome out = outcome_of(read);
+    EXPECT_FALSE(out.model.has_value()) << what;
+    EXPECT_EQ(out.chunk, chunk) << what << ": " << out.error;
+    EXPECT_EQ(out.offset, offset) << what << ": " << out.error;
+  };
+  expect_throws("read_all", [&] { return reader.read_all(); });
+  expect_throws("read_all(pool)", [&] { return reader.read_all(&pool); });
+  expect_throws("read_window", [&] { return reader.read_window(0, 50); });
+  expect_throws("read_window(pool)", [&] { return reader.read_window(0, 50, &pool); });
+  std::vector<std::size_t> all(reader.chunks().size());
+  for (std::size_t i = 0; i < all.size(); ++i) all[i] = i;
+  expect_throws("read_chunks", [&] { return reader.read_chunks(all, &pool); });
+  expect_throws("for_each", [&] {
+    reader.for_each([](const tracebuf::EventRecord&) {});
+    return TraceModel();
+  });
+}
+
+// Per-CPU order is not enough. cpu 0 at t=100..107, then cpu 1 at t=0..7,
+// four records a chunk: each chunk is fine alone, but the index's time ranges
+// go backwards at chunk 2, so a window search would miss cpu 1's records.
+TEST(TraceOrder, PerCpuOrderedButUnmergedFileIsRefused) {
+  // The encoder writes exactly what OsntStreamWriter writes when the records
+  // are in order, so the refusals in this suite are about order alone.
+  const TraceModel sample = sample_trace();
+  ASSERT_EQ(encode_unchecked(sample.merged(), 16, sample.meta(), sample.tasks()),
+            v3_bytes(sample, 16));
+
+  std::vector<tracebuf::EventRecord> records;
+  for (TimeNs t = 100; t < 108; ++t) records.push_back(wakeup(t, 0));
+  for (TimeNs t = 0; t < 8; ++t) records.push_back(wakeup(t, 1));
+  const auto bytes = encode_unchecked(records, 4, two_cpu_meta(), {});
+  const std::uint64_t chunk2 = OsntReader(bytes).chunks()[2].offset;
+  expect_refused(bytes, 2, chunk2);
+
+  // The CLI refuses it too: verify, stats and summary exit 1.
+  const std::string path =
+      ::testing::TempDir() + "/osn_unmerged_" + std::to_string(::getpid()) + ".osnt";
+  {
+    std::ofstream f(path, std::ios::binary);
+    f.write(reinterpret_cast<const char*>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
+  }
+  for (const char* cmd : {"verify", "stats", "summary"}) {
+    const std::string line =
+        std::string("\"") + OSN_ANALYZE_BIN + "\" " + cmd + " \"" + path + "\" > /dev/null 2>&1";
+    const int status = std::system(line.c_str());
+    ASSERT_TRUE(WIFEXITED(status)) << cmd;
+    EXPECT_EQ(WEXITSTATUS(status), 1) << cmd;
+  }
+  std::remove(path.c_str());
+}
+
+// Inside one chunk: the index range is sorted (t 5..8), but record 1 (t 3)
+// sorts below record 0. The error points at that record.
+TEST(TraceOrder, UnmergedRecordsInsideAChunkAreRefused) {
+  const std::vector<tracebuf::EventRecord> records = {wakeup(5, 0), wakeup(3, 1), wakeup(8, 0)};
+  const auto bytes = encode_unchecked(records, 4, two_cpu_meta(), {});
+  const ChunkInfo c = OsntReader(bytes).chunks()[0];
+  // Payload: count and length varints (1 byte each), then record 0 (5
+  // one-byte fields); record 1 ends 5 bytes later.
+  expect_refused(bytes, 0, c.offset + 2 + 10);
+}
+
+// Across a chunk boundary at one timestamp: chunk 0 ends with cpu 1 at t=10
+// and chunk 1 starts with cpu 0 at t=10. The index cannot see the tie; the
+// decode's cross-chunk check does.
+TEST(TraceOrder, CpuTieBrokenBackwardsAcrossChunksIsRefused) {
+  const std::vector<tracebuf::EventRecord> records = {wakeup(9, 0), wakeup(10, 1),
+                                                      wakeup(10, 0), wakeup(11, 1)};
+  const auto bytes = encode_unchecked(records, 2, two_cpu_meta(), {});
+  const std::uint64_t chunk1 = OsntReader(bytes).chunks()[1].offset;
+  expect_refused(bytes, 1, chunk1);
+}
+
+// ---------------------------------------------------------------------------
+// Memory bound: decode state grows with records and cpus, never with their
+// product.
+// ---------------------------------------------------------------------------
+
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define OSN_RESERVES_SHADOW_MEMORY 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define OSN_RESERVES_SHADOW_MEMORY 1
+#endif
+#endif
+
+// A 20 KB file declaring 65535 cpus, with 1000 one-record chunks on cpus
+// spread over that range. A decode that sized per-chunk x per-cpu state
+// needs ~1.5 GB here; every decode entry must fit in a child limited to
+// 1 GiB of address space.
+TEST(TraceCorruption, ManyCpusTimesManyChunksFitsAMemoryBudget) {
+#ifdef OSN_RESERVES_SHADOW_MEMORY
+  GTEST_SKIP() << "ASan/TSan reserve shadow address space beyond any RLIMIT_AS";
+#else
+  TraceMeta meta;
+  meta.n_cpus = 65535;
+  meta.tick_period_ns = 10 * kNsPerMs;
+  meta.workload = "many-cpus";
+  meta.end_ns = 20'000;
+  const std::string path =
+      ::testing::TempDir() + "/osn_many_cpus_" + std::to_string(::getpid()) + ".osnt";
+  {
+    OsntStreamWriter writer(path, /*chunk_records=*/1);
+    for (std::uint32_t i = 0; i < 1000; ++i)
+      writer.append(wakeup(1'000 + i * 10, static_cast<CpuId>(i * 7919 % 65535)));
+    ASSERT_TRUE(writer.finish(meta, {}));
+  }
+
+  const pid_t child = ::fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) {
+    const rlimit limit{1ull << 30, 1ull << 30};
+    if (::setrlimit(RLIMIT_AS, &limit) != 0) ::_exit(3);
+    try {
+      ThreadPool pool(2);
+      const OsntReader reader(path);
+      if (reader.read_all(&pool).total_events() != 1000) ::_exit(2);
+      if (reader.read_all().total_events() != 1000) ::_exit(2);
+      if (reader.read_window(3'000, 7'000, &pool).total_events() != 400) ::_exit(2);
+      std::vector<std::size_t> ids;
+      for (std::size_t i = 0; i < 1000; i += 3) ids.push_back(i);
+      if (reader.read_chunks(ids, &pool).total_events() != ids.size()) ::_exit(2);
+    } catch (...) {
+      ::_exit(1);
+    }
+    ::_exit(0);
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(child, &status, 0), child);
+  std::remove(path.c_str());
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0) << "1: allocation failed under 1 GiB; 2: wrong count";
+#endif
 }
 
 }  // namespace

@@ -500,6 +500,16 @@ TEST(TraceIo, StreamWriterRejectsNonMonotonicPerCpu) {
   tracebuf::EventRecord b = a;
   b.timestamp = 50;
   EXPECT_DEATH(writer.append(b), "not time-ordered");
+  // The order is (timestamp, cpu) across cpus, not per cpu: cpu 1 at t=50
+  // after cpu 0 at t=100 is refused too, and so is a lower cpu at a tie.
+  tracebuf::EventRecord c = a;
+  c.cpu = 1;
+  c.timestamp = 50;
+  EXPECT_DEATH(writer.append(c), "not time-ordered");
+  tracebuf::EventRecord d = a;
+  d.cpu = 1;
+  writer.append(d);  // (100, 1) follows (100, 0)
+  EXPECT_DEATH(writer.append(a), "not time-ordered");
   std::remove(path.c_str());
 }
 

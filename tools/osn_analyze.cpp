@@ -148,9 +148,7 @@ int usage() {
       "hardware threads; --jobs 1 runs the serial reference path — both\n"
       "produce byte-identical output). They also accept --window A:B\n"
       "(milliseconds): analyze only that time slice — only the overlapping\n"
-      "chunks are read from disk — and\n"
-      "--io mmap|pread: decode straight out of a read-only mapping (default,\n"
-      "falls back to pread when mmap fails) or force positioned reads.\n");
+      "chunks are read from disk.\n");
   return 2;
 }
 
@@ -202,20 +200,8 @@ DurNs quantum_from_args(const Args& args) {
   return us * kNsPerUs;
 }
 
-/// --io mmap|pread: I/O strategy for file-backed readers (default: mmap with
-/// silent pread fallback).
-trace::OsntReader::IoMode io_mode(const Args& args) {
-  const std::string mode = args.get("io", "mmap");
-  if (mode == "pread") return trace::OsntReader::IoMode::kPread;
-  if (mode != "mmap") {
-    std::fprintf(stderr, "error: --io expects mmap or pread\n");
-    std::exit(2);
-  }
-  return trace::OsntReader::IoMode::kAuto;
-}
-
 trace::TraceModel load(const Args& args) {
-  auto source = trace::open_trace_source(trace_path(args), io_mode(args));
+  auto source = trace::open_trace_source(trace_path(args));
   const auto pool = decode_pool(args);
   TimeNs t0 = 0, t1 = 0;
   if (parse_window(args, t0, t1)) return source->to_model_window(t0, t1, pool.get());
@@ -271,7 +257,7 @@ query::Plan base_plan(const Args& args) {
 /// uses) and returns the rendered JSON document. The empty trace id keeps
 /// the single-shot CLI out of the cache layer entirely.
 std::string run_plan(const Args& args, const query::Plan& plan) {
-  trace::OsntReader reader(trace_path(args), io_mode(args));
+  trace::OsntReader reader(trace_path(args));
   const auto pool = decode_pool(args);
   query::Engine engine;
   return engine.run(reader, /*trace_id=*/"", plan, pool.get());
@@ -429,7 +415,7 @@ int cmd_upgrade(const Args& args) {
 }
 
 int cmd_info(const Args& args) {
-  trace::FileEventSource source(trace_path(args), io_mode(args));
+  trace::FileEventSource source(trace_path(args));
   const auto pool = decode_pool(args);
   const trace::TraceModel model = source.to_model(pool.get());
   const trace::OsntReader& reader = source.reader();
@@ -501,7 +487,7 @@ bool verify_pairing(trace::FileEventSource& source) {
 }
 
 int cmd_verify(const Args& args) {
-  trace::FileEventSource source(trace_path(args), io_mode(args));
+  trace::FileEventSource source(trace_path(args));
   const trace::VerifyReport report = source.reader().verify();
   std::printf("format:    OSNT v%u\n", trace::kOsntVersion);
   std::printf("chunks:    %zu\n", report.chunks);
@@ -665,7 +651,7 @@ int cmd_export(const Args& args) {
       return 1;
     }
     if (path.empty()) {
-      trace::OsntReader reader(trace_path(args), io_mode(args));
+      trace::OsntReader reader(trace_path(args));
       path = reader.meta().workload + ".json";
     }
     if (!exporter::write_text_file(path, doc)) {
