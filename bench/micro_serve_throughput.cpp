@@ -12,7 +12,7 @@
 //  * churn — connections that connect, issue one cached query, disconnect;
 //    the accept path and connection-table cost, not the query cost.
 //  * pipelined — M clients each writing a burst of requests in one segment;
-//    exercises the buffered-frame re-pump (frames poll(2) cannot see).
+//    exercises the buffered-frame re-pump (frames the poller cannot see).
 //  * soak — N idle connections parked on the loop while one hot client
 //    measures cached-summary RTT percentiles. Under the old thread-per-
 //    connection design N idle clients pinned N workers and the hot client
@@ -20,6 +20,9 @@
 //    soak asserts p99 stays within 2x the single-client cached RTT measured
 //    moments earlier, and OSN_SOAK_CONNS=10000 (the acceptance run) scales
 //    the fleet from the default 1000.
+//
+// The server's loop and worker threads do the work while this thread waits
+// on sockets, so every regime reports wall-clock rates (UseRealTime).
 //
 // OSN_BENCH_SMOKE=1 shrinks the synthetic trace and the fleets so the ctest
 // smoke run finishes in seconds.
@@ -159,7 +162,7 @@ void BM_ServePing(benchmark::State& state) {
   run_loop(state, *server, req);
   server->stop();
 }
-BENCHMARK(BM_ServePing)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_ServePing)->Arg(0)->Arg(1)->UseRealTime()->Unit(benchmark::kMicrosecond);
 
 void BM_ServeSummaryCold(benchmark::State& state) {
   set_wire_label(state);
@@ -179,7 +182,7 @@ void BM_ServeSummaryCold(benchmark::State& state) {
   run_loop(state, server, summary_request());
   server.stop();
 }
-BENCHMARK(BM_ServeSummaryCold)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ServeSummaryCold)->Arg(0)->Arg(1)->UseRealTime()->Unit(benchmark::kMillisecond);
 
 void BM_ServeSummaryCached(benchmark::State& state) {
   set_wire_label(state);
@@ -193,7 +196,7 @@ void BM_ServeSummaryCached(benchmark::State& state) {
   run_loop(state, *server, req);
   server->stop();
 }
-BENCHMARK(BM_ServeSummaryCached)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_ServeSummaryCached)->Arg(0)->Arg(1)->UseRealTime()->Unit(benchmark::kMicrosecond);
 
 // ---------------------------------------------------------------------------
 // Readiness-loop regimes
@@ -223,7 +226,7 @@ void BM_ServeConnectionChurn(benchmark::State& state) {
       benchmark::Counter(static_cast<double>(conns), benchmark::Counter::kIsRate);
   server->stop();
 }
-BENCHMARK(BM_ServeConnectionChurn)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_ServeConnectionChurn)->Arg(0)->Arg(1)->UseRealTime()->Unit(benchmark::kMicrosecond);
 
 void BM_ServePipelinedBurst(benchmark::State& state) {
   // One connection writes a burst of pings in a single segment, then reads
@@ -263,7 +266,7 @@ void BM_ServePipelinedBurst(benchmark::State& state) {
       benchmark::Counter(static_cast<double>(requests), benchmark::Counter::kIsRate);
   server->stop();
 }
-BENCHMARK(BM_ServePipelinedBurst)->Arg(8)->Arg(64)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_ServePipelinedBurst)->Arg(8)->Arg(64)->UseRealTime()->Unit(benchmark::kMicrosecond);
 
 void BM_ServeIdleSoak(benchmark::State& state) {
   // Park a fleet of idle connections on the loop, then measure cached-summary
@@ -339,7 +342,7 @@ void BM_ServeIdleSoak(benchmark::State& state) {
   }
   server->stop();
 }
-BENCHMARK(BM_ServeIdleSoak)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_ServeIdleSoak)->Arg(0)->Arg(1)->UseRealTime()->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

@@ -3,8 +3,6 @@
 //  * CRC-32 implementation: bytewise oracle vs slicing-by-8 vs the hardware
 //    (PCLMUL / ARMv8) kernel behind the runtime dispatcher. Every chunk read
 //    pays one CRC pass over its payload, so this bounds decode bandwidth.
-//  * I/O backend: mmap zero-copy chunk views vs positioned pread. Same
-//    records either way; only the copy count differs.
 //  * Decode parallelism: chunks reset their delta state, so read_all
 //    fans out across a pool with bit-identical output.
 //  * Windowed reads: the index prunes chunks before any decode happens.
@@ -114,43 +112,38 @@ BENCHMARK(BM_Crc32Hardware)->Arg(512)->Arg(64 * 1024);
 
 // --- Full-file and windowed decode ----------------------------------------
 
-// range(0): 0 = mmap, 1 = pread. range(1): decode workers. Rates are
-// wall-clock (UseRealTime): pooled decode works on other threads, so rates
-// divided by the calling thread's CPU time would overstate it.
+// range(0): decode workers. Rates are wall-clock (UseRealTime): pooled
+// decode works on other threads, so rates divided by the calling thread's
+// CPU time would overstate it.
 void decode_bench(benchmark::State& state, bool window) {
   const std::string& path = bench_file();
-  const auto mode = state.range(0) == 0 ? trace::OsntReader::IoMode::kAuto
-                                        : trace::OsntReader::IoMode::kPread;
-  const auto jobs = static_cast<std::size_t>(state.range(1));
+  const auto jobs = static_cast<std::size_t>(state.range(0));
   ThreadPool pool(jobs);
   ThreadPool* p = jobs > 1 ? &pool : nullptr;
   const TimeNs end = bench_meta().end_ns;
   for (auto _ : state) {
-    trace::OsntReader reader(path, mode);
+    trace::OsntReader reader(path);
     benchmark::DoNotOptimize(window ? reader.read_window(end / 2, end / 2 + end / 10, p)
                                     : reader.read_all(p));
   }
   const auto records = static_cast<std::int64_t>(bench_steps() * kCpus / (window ? 10 : 1));
   state.SetItemsProcessed(state.iterations() * records);
   if (!window) state.SetBytesProcessed(state.iterations() * file_bytes(path));
-  state.SetLabel(state.range(0) == 0 ? "mmap" : "pread");
 }
 
 void BM_DecodeV3Full(benchmark::State& state) { decode_bench(state, false); }
 BENCHMARK(BM_DecodeV3Full)
-    ->Args({0, 1})
-    ->Args({1, 1})
-    ->Args({0, 2})
-    ->Args({0, 8})
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(8)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 // A 10% time window: the index prunes ~90% of the chunks before any decode.
 void BM_DecodeV3Window10Pct(benchmark::State& state) { decode_bench(state, true); }
 BENCHMARK(BM_DecodeV3Window10Pct)
-    ->Args({0, 1})
-    ->Args({1, 1})
-    ->Args({0, 2})
+    ->Arg(1)
+    ->Arg(2)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 

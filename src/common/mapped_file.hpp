@@ -1,10 +1,11 @@
 // Read-only memory mapping of a file (RAII over mmap).
 //
-// The OSNT v3 reader's zero-copy mode serves chunk payloads as pointers into
-// the mapping instead of pread-ing them into fresh buffers; this wrapper owns
-// the mapping's lifetime. Mapping is strictly best-effort: callers fall back
-// to positioned reads when map() yields an invalid object (empty file,
-// exhausted address space, a file system without mmap support).
+// The OSNT v3 reader reads a trace file only through its mapping: chunk
+// payloads are served as pointers into it, never copied into buffers. This
+// wrapper owns the mapping's lifetime, which may outlive the descriptor it
+// was made from. map() yields an invalid object when mmap fails (empty file,
+// exhausted address space, a file that cannot be mapped); the reader then
+// refuses a non-empty file with a TraceReadError.
 //
 // Safety note: reading through the mapping after the file shrinks under us
 // would raise SIGBUS. The trace catalog publishes files by rename and never

@@ -95,12 +95,7 @@ std::optional<SummaryData> index_summary_data(const trace::IndexSummary& summary
   for (const auto& [pid, t] : per_task) preempt_all.merge(t.preempt);
   for (std::size_t k = 0; k < kKinds; ++k) {
     const trace::AggAccum& acc = k == kPreKind ? preempt_all : classes[k];
-    noise::ActivityAccum a;
-    a.count = acc.count;
-    a.sum_ns = acc.sum;
-    a.max_ns = acc.max;
-    a.min_ns = acc.min;
-    data.activities[k] = a.to_stats(data.duration_ns, meta.n_cpus);
+    data.activities[k] = noise::to_stats(acc, data.duration_ns, meta.n_cpus);
   }
 
   std::uint64_t noise_intervals = 0;

@@ -40,18 +40,16 @@ bool EventLoop::start(TcpListener listener, std::string* error) {
     if (error != nullptr) *error = "cannot make listener non-blocking";
     return false;
   }
-  poller_ = make_poller(options_.use_poll);
-  if (poller_ == nullptr) {
-    if (error != nullptr) *error = "no poller backend available";
+  if (!poller_.ok()) {
+    if (error != nullptr) *error = "cannot create epoll instance";
     return false;
   }
-  backend_ = poller_->name();
   if (!wakeup_.open()) {
     if (error != nullptr) *error = "cannot create loop wakeup fd";
     return false;
   }
-  if (!poller_->watch(wakeup_.fd(), kInterestRead, kWakeupKey) ||
-      !poller_->watch(listener_.fd(), kInterestRead, kListenerKey)) {
+  if (!poller_.watch(wakeup_.fd(), kInterestRead, kWakeupKey) ||
+      !poller_.watch(listener_.fd(), kInterestRead, kListenerKey)) {
     if (error != nullptr) *error = "cannot register loop fds with poller";
     return false;
   }
@@ -178,7 +176,7 @@ void EventLoop::run() {
   std::vector<std::function<void()>> tasks;
   while (true) {
     ready.clear();
-    if (!poller_->wait(next_timeout_ms(), ready)) break;  // backend died
+    if (!poller_.wait(next_timeout_ms(), ready)) break;  // epoll died
 
     wakeup_.drain();
 
@@ -244,7 +242,7 @@ void EventLoop::do_accept() {
     const std::uint64_t id = next_id_++;
     auto conn = std::make_unique<Connection>(id, std::move(*stream));
     conn->touch(monotonic_now_ns());
-    if (!poller_->watch(conn->fd(), kInterestRead, id)) continue;
+    if (!poller_.watch(conn->fd(), kInterestRead, id)) continue;
     Connection& ref = *conn;
     conns_.emplace(id, std::move(conn));
     stats_.accepted.fetch_add(1, std::memory_order_relaxed);
@@ -379,7 +377,7 @@ void EventLoop::close_conn(std::uint64_t id) {
 void EventLoop::close_conn(Connection& conn) {
   const std::uint64_t id = conn.id();
   const bool admitted = !conn.doomed();
-  poller_->forget(conn.fd());
+  poller_.forget(conn.fd());
   set_gauge_delta(conn.state(), -1);
   stats_.open.fetch_sub(1, std::memory_order_relaxed);
   stats_.closed.fetch_add(1, std::memory_order_relaxed);
@@ -401,14 +399,14 @@ void EventLoop::update_interest(Connection& conn) {
       break;
   }
   if (conn.wants_write()) interest |= kInterestWrite;
-  poller_->rearm(conn.fd(), interest);
+  poller_.rearm(conn.fd(), interest);
 }
 
 void EventLoop::enter_drain() {
   if (draining_) return;
   draining_ = true;
   if (listener_.ok()) {
-    poller_->forget(listener_.fd());
+    poller_.forget(listener_.fd());
     listener_.close();
   }
   std::vector<std::uint64_t> ids;

@@ -2,12 +2,11 @@
 //
 // An EventLoop owns the listening socket, every Connection, a timer heap,
 // and a cross-thread wakeup. It multiplexes all of them through one
-// level-triggered poller (epoll by default, poll(2) backend for
-// portability), so ten thousand idle clients cost ten thousand registered
-// fds and zero worker threads. Protocol logic lives in a Handler the
-// session layer implements; this file knows frames, not requests — the
-// lint layering rule (src/net/ includes no serve/query/trace headers)
-// keeps that structural.
+// level-triggered epoll poller, so ten thousand idle clients cost ten
+// thousand registered fds and zero worker threads. Protocol logic lives in
+// a Handler the session layer implements; this file knows frames, not
+// requests — the lint layering rule (src/net/ includes no
+// serve/query/trace headers) keeps that structural.
 //
 // Threading contract:
 //  * run thread        — everything that touches a Connection or the poller.
@@ -93,8 +92,6 @@ struct LoopOptions {
   std::size_t read_budget = 256 * 1024;
   /// Bound on flushing still-queued bytes at stop().
   DurNs stop_flush_budget = kNsPerSec;
-  /// Use the poll(2) backend even where epoll exists (portability tests).
-  bool use_poll = false;
 };
 
 /// Monotonic counters and gauges, readable from any thread. Gauges are
@@ -140,7 +137,6 @@ class EventLoop {
   void stop();
 
   std::uint16_t port() const { return port_; }
-  const char* backend() const { return backend_; }
 
   // -- worker-facing API (any thread) ---------------------------------------
 
@@ -198,8 +194,7 @@ class EventLoop {
   Handler* handler_;
   TcpListener listener_;
   std::uint16_t port_ = 0;
-  const char* backend_ = "?";
-  std::unique_ptr<Poller> poller_;
+  Poller poller_;
   Wakeup wakeup_;
   std::thread thread_;
   std::atomic<bool> running_{false};

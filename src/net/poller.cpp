@@ -1,161 +1,65 @@
 #include "net/poller.hpp"
 
-#include <poll.h>
+#include <sys/epoll.h>
 #include <unistd.h>
 
 #include <cerrno>
-#include <unordered_map>
-
-#if defined(__linux__)
-#include <sys/epoll.h>
-#define OSN_NET_HAS_EPOLL 1
-#endif
 
 namespace osn::net {
 
 namespace {
 
-#if OSN_NET_HAS_EPOLL
-
-class EpollPoller final : public Poller {
- public:
-  EpollPoller() : epfd_(::epoll_create1(EPOLL_CLOEXEC)) {}
-  ~EpollPoller() override {
-    if (epfd_ >= 0) ::close(epfd_);
-  }
-
-  bool ok() const { return epfd_ >= 0; }
-
-  bool watch(int fd, unsigned interest, std::uint64_t key) override {
-    keys_[fd] = key;
-    epoll_event ev = make_event(interest, key);
-    return ::epoll_ctl(epfd_, EPOLL_CTL_ADD, fd, &ev) == 0;
-  }
-
-  bool rearm(int fd, unsigned interest) override {
-    const auto it = keys_.find(fd);
-    if (it == keys_.end()) return false;
-    epoll_event ev = make_event(interest, it->second);
-    return ::epoll_ctl(epfd_, EPOLL_CTL_MOD, fd, &ev) == 0;
-  }
-
-  void forget(int fd) override {
-    keys_.erase(fd);
-    ::epoll_ctl(epfd_, EPOLL_CTL_DEL, fd, nullptr);
-  }
-
-  bool wait(int timeout_ms, std::vector<Ready>& out) override {
-    epoll_event events[256];
-    int n;
-    do {
-      n = ::epoll_wait(epfd_, events, 256, timeout_ms);
-    } while (n < 0 && errno == EINTR);
-    if (n < 0) return false;
-    for (int i = 0; i < n; ++i) {
-      Ready r;
-      r.key = events[i].data.u64;
-      r.readable = (events[i].events & (EPOLLIN | EPOLLRDHUP)) != 0;
-      r.writable = (events[i].events & EPOLLOUT) != 0;
-      r.error = (events[i].events & (EPOLLERR | EPOLLHUP)) != 0;
-      out.push_back(r);
-    }
-    return true;
-  }
-
-  const char* name() const override { return "epoll"; }
-
- private:
-  static epoll_event make_event(unsigned interest, std::uint64_t key) {
-    epoll_event ev{};
-    ev.events = 0;  // level-triggered by default
-    if ((interest & kInterestRead) != 0) ev.events |= EPOLLIN;
-    if ((interest & kInterestWrite) != 0) ev.events |= EPOLLOUT;
-    ev.data.u64 = key;
-    return ev;
-  }
-
-  int epfd_;
-  /// fd -> key, so rearm() does not need the key replumbed through callers.
-  std::unordered_map<int, std::uint64_t> keys_;
-};
-
-#endif  // OSN_NET_HAS_EPOLL
-
-class PollPoller final : public Poller {
- public:
-  bool watch(int fd, unsigned interest, std::uint64_t key) override {
-    entries_[fd] = Entry{interest, key};
-    return true;
-  }
-
-  bool rearm(int fd, unsigned interest) override {
-    const auto it = entries_.find(fd);
-    if (it == entries_.end()) return false;
-    it->second.interest = interest;
-    return true;
-  }
-
-  void forget(int fd) override { entries_.erase(fd); }
-
-  bool wait(int timeout_ms, std::vector<Ready>& out) override {
-    fds_.clear();
-    keys_.clear();
-    fds_.reserve(entries_.size());
-    for (const auto& [fd, entry] : entries_) {
-      pollfd p{};
-      p.fd = fd;
-      if ((entry.interest & kInterestRead) != 0) p.events |= POLLIN;
-      if ((entry.interest & kInterestWrite) != 0) p.events |= POLLOUT;
-      fds_.push_back(p);
-      keys_.push_back(entry.key);
-    }
-    int n;
-    do {
-      n = ::poll(fds_.data(), static_cast<nfds_t>(fds_.size()), timeout_ms);
-    } while (n < 0 && errno == EINTR);
-    if (n < 0) return false;
-    for (std::size_t i = 0; i < fds_.size(); ++i) {
-      if (fds_[i].revents == 0) continue;
-      Ready r;
-      r.key = keys_[i];
-      r.readable = (fds_[i].revents & POLLIN) != 0;
-      r.writable = (fds_[i].revents & POLLOUT) != 0;
-      r.error = (fds_[i].revents & (POLLERR | POLLHUP | POLLNVAL)) != 0;
-      out.push_back(r);
-    }
-    return true;
-  }
-
-  const char* name() const override { return "poll"; }
-
- private:
-  struct Entry {
-    unsigned interest = 0;
-    std::uint64_t key = 0;
-  };
-  std::unordered_map<int, Entry> entries_;
-  // Scratch rebuilt per wait; members to reuse their capacity.
-  std::vector<pollfd> fds_;
-  std::vector<std::uint64_t> keys_;
-};
+epoll_event make_event(unsigned interest, std::uint64_t key) {
+  epoll_event ev{};
+  ev.events = 0;  // level-triggered by default
+  if ((interest & kInterestRead) != 0) ev.events |= EPOLLIN;
+  if ((interest & kInterestWrite) != 0) ev.events |= EPOLLOUT;
+  ev.data.u64 = key;
+  return ev;
+}
 
 }  // namespace
 
-std::unique_ptr<Poller> make_epoll_poller() {
-#if OSN_NET_HAS_EPOLL
-  auto poller = std::make_unique<EpollPoller>();
-  if (poller->ok()) return poller;
-#endif
-  return nullptr;
+Poller::Poller() : epfd_(::epoll_create1(EPOLL_CLOEXEC)) {}
+
+Poller::~Poller() {
+  if (epfd_ >= 0) ::close(epfd_);
 }
 
-std::unique_ptr<Poller> make_poll_poller() { return std::make_unique<PollPoller>(); }
+bool Poller::watch(int fd, unsigned interest, std::uint64_t key) {
+  keys_[fd] = key;
+  epoll_event ev = make_event(interest, key);
+  return ::epoll_ctl(epfd_, EPOLL_CTL_ADD, fd, &ev) == 0;
+}
 
-std::unique_ptr<Poller> make_poller(bool use_poll) {
-  if (!use_poll) {
-    if (auto poller = make_epoll_poller()) return poller;
+bool Poller::rearm(int fd, unsigned interest) {
+  const auto it = keys_.find(fd);
+  if (it == keys_.end()) return false;
+  epoll_event ev = make_event(interest, it->second);
+  return ::epoll_ctl(epfd_, EPOLL_CTL_MOD, fd, &ev) == 0;
+}
+
+void Poller::forget(int fd) {
+  keys_.erase(fd);
+  ::epoll_ctl(epfd_, EPOLL_CTL_DEL, fd, nullptr);
+}
+
+bool Poller::wait(int timeout_ms, std::vector<Ready>& out) {
+  epoll_event events[256];
+  int n;
+  do {
+    n = ::epoll_wait(epfd_, events, 256, timeout_ms);
+  } while (n < 0 && errno == EINTR);
+  if (n < 0) return false;
+  for (int i = 0; i < n; ++i) {
+    Ready r;
+    r.key = events[i].data.u64;
+    r.readable = (events[i].events & (EPOLLIN | EPOLLRDHUP)) != 0;
+    r.writable = (events[i].events & EPOLLOUT) != 0;
+    r.error = (events[i].events & (EPOLLERR | EPOLLHUP)) != 0;
+    out.push_back(r);
   }
-  return make_poll_poller();
+  return true;
 }
 
 }  // namespace osn::net

@@ -1,25 +1,22 @@
-// Readiness backend: one interface, two kernels.
+// Readiness backend: one epoll(7) instance.
 //
 // The EventLoop asks a single question — "which of my fds are
-// readable/writable?" — and epoll(7) answers it in O(ready) no matter how
-// many idle connections are registered, which is what lets one loop thread
-// hold tens of thousands of quiet clients. The poll(2) backend answers the
-// same question in O(registered) by rebuilding the pollfd array per wait;
-// it exists for portability and as the reference implementation the
-// portability tests run both loops against (LoopOptions::use_poll).
+// readable/writable?" — and epoll answers it in O(ready) no matter how many
+// idle connections are registered, which is what lets one loop thread hold
+// tens of thousands of quiet clients.
 //
-// Level-triggered semantics on both backends: an fd keeps reporting until
-// the condition is consumed, so a loop pass that reads less than everything
-// is woken again rather than wedged.
+// Level-triggered: an fd keeps reporting until the condition is consumed,
+// so a loop pass that reads less than everything is woken again rather than
+// wedged.
 #pragma once
 
 #include <cstdint>
-#include <memory>
+#include <unordered_map>
 #include <vector>
 
 namespace osn::net {
 
-/// Readiness bits (a subset both backends can deliver).
+/// Readiness bits of one fd.
 struct Ready {
   std::uint64_t key = 0;  ///< caller's tag for the fd (connection id)
   bool readable = false;
@@ -33,28 +30,30 @@ inline constexpr unsigned kInterestWrite = 1u << 1;
 
 class Poller {
  public:
-  virtual ~Poller() = default;
+  Poller();
+  ~Poller();
+  Poller(const Poller&) = delete;
+  Poller& operator=(const Poller&) = delete;
+
+  /// False when the epoll instance could not be created.
+  bool ok() const { return epfd_ >= 0; }
 
   /// Registers fd with the given interest (possibly 0: parked but tracked).
-  virtual bool watch(int fd, unsigned interest, std::uint64_t key) = 0;
+  bool watch(int fd, unsigned interest, std::uint64_t key);
   /// Changes the interest set of a registered fd.
-  virtual bool rearm(int fd, unsigned interest) = 0;
+  bool rearm(int fd, unsigned interest);
   /// Deregisters fd (must be called before the fd is closed).
-  virtual void forget(int fd) = 0;
+  void forget(int fd);
 
   /// Blocks up to timeout_ms (-1 = forever) and appends ready fds to `out`.
-  /// Returns false on an unrecoverable backend error (EINTR is retried
+  /// Returns false on an unrecoverable epoll error (EINTR is retried
   /// internally and surfaces as an empty wait, not a failure).
-  virtual bool wait(int timeout_ms, std::vector<Ready>& out) = 0;
+  bool wait(int timeout_ms, std::vector<Ready>& out);
 
-  virtual const char* name() const = 0;
+ private:
+  int epfd_;
+  /// fd -> key, so rearm() does not need the key replumbed through callers.
+  std::unordered_map<int, std::uint64_t> keys_;
 };
-
-/// epoll backend on Linux (nullptr where unsupported).
-std::unique_ptr<Poller> make_epoll_poller();
-/// Portable poll(2) backend.
-std::unique_ptr<Poller> make_poll_poller();
-/// The requested backend, falling back to poll(2) when epoll is unavailable.
-std::unique_ptr<Poller> make_poller(bool use_poll);
 
 }  // namespace osn::net

@@ -1,56 +1,36 @@
 #include "net/wakeup.hpp"
 
-#include <fcntl.h>
+#include <sys/eventfd.h>
 #include <unistd.h>
 
-#include <cerrno>
 #include <cstdint>
-
-#if defined(__linux__)
-#include <sys/eventfd.h>
-#define OSN_NET_HAS_EVENTFD 1
-#endif
 
 namespace osn::net {
 
 bool Wakeup::open() {
   close();
-#if OSN_NET_HAS_EVENTFD
-  read_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
-  write_fd_ = read_fd_;
-  return read_fd_ >= 0;
-#else
-  int fds[2];
-  if (::pipe(fds) != 0) return false;
-  for (const int fd : fds) {
-    const int flags = ::fcntl(fd, F_GETFL, 0);
-    ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
-  }
-  read_fd_ = fds[0];
-  write_fd_ = fds[1];
-  return true;
-#endif
+  fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+  return fd_ >= 0;
 }
 
 void Wakeup::close() {
-  if (write_fd_ >= 0 && write_fd_ != read_fd_) ::close(write_fd_);
-  if (read_fd_ >= 0) ::close(read_fd_);
-  read_fd_ = write_fd_ = -1;
+  if (fd_ >= 0) ::close(fd_);
+  fd_ = -1;
 }
 
 void Wakeup::signal() {
-  if (write_fd_ < 0) return;
+  if (fd_ < 0) return;
   const std::uint64_t one = 1;
-  // EAGAIN means the counter/pipe is already non-empty: the loop is waking
-  // anyway, so dropping this signal is correct, not lossy.
-  [[maybe_unused]] const ssize_t n = ::write(write_fd_, &one, sizeof(one));
+  // EAGAIN only when the counter would overflow: the loop is waking anyway,
+  // so dropping this signal is correct, not lossy.
+  [[maybe_unused]] const ssize_t n = ::write(fd_, &one, sizeof(one));
 }
 
 void Wakeup::drain() {
-  if (read_fd_ < 0) return;
-  std::uint64_t buf[8];
-  while (::read(read_fd_, buf, sizeof(buf)) > 0) {
-  }
+  if (fd_ < 0) return;
+  std::uint64_t count = 0;
+  // One read resets the eventfd counter.
+  [[maybe_unused]] const ssize_t n = ::read(fd_, &count, sizeof(count));
 }
 
 }  // namespace osn::net

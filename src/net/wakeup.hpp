@@ -1,11 +1,11 @@
 // Cross-thread wakeup for a readiness loop.
 //
 // Workers and the public EventLoop API run on arbitrary threads; the loop
-// sleeps in epoll_wait/poll. A Wakeup is the one fd that pops it out: any
-// thread calls signal(), the loop sees the fd readable and drains it. Backed
-// by eventfd(2) where available (one fd, one counter, no 64-byte-pipe-full
-// edge) with a self-pipe fallback. Both ends are non-blocking; signalling an
-// already-signalled wakeup is a no-op, never a stall.
+// sleeps in epoll_wait. A Wakeup is the one fd that pops it out: any thread
+// calls signal(), the loop sees the fd readable and drains it. Backed by
+// eventfd(2): one fd, one counter, no pipe-full edge. The fd is
+// non-blocking; signalling an already-signalled wakeup is a no-op, never a
+// stall.
 #pragma once
 
 namespace osn::net {
@@ -17,13 +17,13 @@ class Wakeup {
   Wakeup(const Wakeup&) = delete;
   Wakeup& operator=(const Wakeup&) = delete;
 
-  /// Creates the fd(s). False on resource exhaustion.
+  /// Creates the eventfd. False on resource exhaustion.
   bool open();
   void close();
-  bool ok() const { return read_fd_ >= 0; }
+  bool ok() const { return fd_ >= 0; }
 
   /// The fd the loop registers for readability.
-  int fd() const { return read_fd_; }
+  int fd() const { return fd_; }
 
   /// Makes fd() readable. Async-signal-safe, thread-safe, non-blocking.
   void signal();
@@ -32,8 +32,7 @@ class Wakeup {
   void drain();
 
  private:
-  int read_fd_ = -1;
-  int write_fd_ = -1;  ///< == read_fd_ for eventfd; pipe write end otherwise
+  int fd_ = -1;
 };
 
 }  // namespace osn::net

@@ -18,18 +18,18 @@ std::size_t chunk_count(std::size_t n, const ThreadPool* pool) {
 
 }  // namespace
 
-EventStats ActivityAccum::to_stats(DurNs duration, std::uint16_t n_cpus) const {
+EventStats to_stats(const trace::AggAccum& acc, DurNs duration, std::uint16_t n_cpus) {
   EventStats out;
-  out.count = count;
+  out.count = acc.count;
   const double duration_sec =
       static_cast<double>(duration) / static_cast<double>(kNsPerSec);
   if (duration_sec > 0 && n_cpus > 0)
     out.freq_ev_per_sec =
-        static_cast<double>(count) / duration_sec / static_cast<double>(n_cpus);
-  if (count > 0) {
-    out.avg_ns = static_cast<double>(sum_ns) / static_cast<double>(count);
-    out.max_ns = max_ns;
-    out.min_ns = min_ns;
+        static_cast<double>(acc.count) / duration_sec / static_cast<double>(n_cpus);
+  if (acc.count > 0) {
+    out.avg_ns = static_cast<double>(acc.sum) / static_cast<double>(acc.count);
+    out.max_ns = acc.max;
+    out.min_ns = acc.min;
   }
   return out;
 }
@@ -152,8 +152,8 @@ void NoiseAnalysis::build_kind_stats() {
 }
 
 EventStats NoiseAnalysis::activity_stats(ActivityKind kind) const {
-  return kind_accums_[static_cast<std::size_t>(kind)].to_stats(model_->duration(),
-                                                               model_->cpu_count());
+  return to_stats(kind_accums_[static_cast<std::size_t>(kind)], model_->duration(),
+                  model_->cpu_count());
 }
 
 std::vector<double> NoiseAnalysis::noise_durations(ActivityKind kind) const {

@@ -19,7 +19,6 @@
 
 #include <array>
 #include <cstdint>
-#include <limits>
 #include <map>
 #include <memory>
 #include <vector>
@@ -29,6 +28,7 @@
 #include "noise/interval.hpp"
 #include "stats/histogram.hpp"
 #include "stats/summary.hpp"
+#include "trace/chunk_aggregate.hpp"
 #include "trace/trace_model.hpp"
 
 namespace osn::trace {
@@ -64,36 +64,15 @@ struct EventStats {
   DurNs min_ns = 0;
 };
 
-/// Exact per-activity accumulator: integer count/sum/min/max over charged
-/// durations. Unlike a floating-point streaming mean, merging partials is
-/// associative and bit-exact, so sharded accumulation reduces to the same
-/// EventStats as a single serial pass regardless of chunking — the
-/// determinism contract of the parallel analyzer. (A uint64 nanosecond sum
-/// holds > 580 years of accumulated activity; no overflow in practice.)
-struct ActivityAccum {
-  std::uint64_t count = 0;
-  std::uint64_t sum_ns = 0;
-  DurNs max_ns = 0;
-  DurNs min_ns = std::numeric_limits<DurNs>::max();
+/// Converts an exact accumulator over charged durations to the tables'
+/// units; freq is per CPU over `duration`. The one conversion for the
+/// analyzer, the streaming stats and the index-only summary, so all three
+/// print byte-identical tables.
+EventStats to_stats(const trace::AggAccum& acc, DurNs duration, std::uint16_t n_cpus);
 
-  void add(DurNs v) {
-    ++count;
-    sum_ns += v;
-    if (v > max_ns) max_ns = v;
-    if (v < min_ns) min_ns = v;
-  }
-  void merge(const ActivityAccum& other) {
-    count += other.count;
-    sum_ns += other.sum_ns;
-    if (other.max_ns > max_ns) max_ns = other.max_ns;
-    if (other.min_ns < min_ns) min_ns = other.min_ns;
-  }
-  /// Converts to the tables' units; freq is per CPU over `duration`.
-  EventStats to_stats(DurNs duration, std::uint16_t n_cpus) const;
-};
-
+/// One exact accumulator per activity kind.
 using ActivityAccumArray =
-    std::array<ActivityAccum, static_cast<std::size_t>(ActivityKind::kMaxKind)>;
+    std::array<trace::AggAccum, static_cast<std::size_t>(ActivityKind::kMaxKind)>;
 
 class NoiseAnalysis {
  public:

@@ -17,7 +17,7 @@ void StreamingStats::consume(const tracebuf::EventRecord& rec) {
 
 EventStats StreamingStats::activity_stats(ActivityKind kind, DurNs duration,
                                           std::uint16_t n_cpus) const {
-  return accums_[static_cast<std::size_t>(kind)].to_stats(duration, n_cpus);
+  return to_stats(accums_[static_cast<std::size_t>(kind)], duration, n_cpus);
 }
 
 }  // namespace osn::noise

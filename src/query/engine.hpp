@@ -26,9 +26,9 @@
 //                  everything" and "summary" share one entry.
 //
 // Determinism contract: run() produces byte-identical documents for equal
-// (trace bytes, plan) regardless of pool, options.jobs, I/O backend
-// (mmap/pread), cache state, or which front end built the plan — the
-// property the planner equivalence tests pin.
+// (trace bytes, plan) regardless of pool, options.jobs, where the reader's
+// bytes live (file mapping or buffer), cache state, or which front end
+// built the plan — the property the planner equivalence tests pin.
 #pragma once
 
 #include <functional>

@@ -88,9 +88,8 @@ std::string ServerMetrics::to_json(const CacheStats& results,
   append_cache(out, "model_cache", models, /*comma=*/net != nullptr);
   if (net != nullptr) {
     out += "  \"net\": {\n";
-    out += "    \"backend\": \"";
-    out += net->backend;
-    out += "\",\n";
+    // A schema key clients read; epoll is the only readiness backend.
+    out += "    \"backend\": \"epoll\",\n";
     append_kv(out, "accepted", net->accepted);
     append_kv(out, "open", net->open);
     append_kv(out, "idle", net->idle);

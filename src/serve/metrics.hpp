@@ -24,7 +24,6 @@ using query::CacheStats;
 /// at `metrics` render time (the loop owns the live values; this is the
 /// transport-independent snapshot ServerMetrics knows how to print).
 struct NetGauges {
-  const char* backend = "?";          ///< "epoll" or "poll"
   std::uint64_t accepted = 0;
   std::uint64_t open = 0;             ///< all registered connections
   std::uint64_t idle = 0;             ///< kReading: awaiting a request

@@ -30,7 +30,6 @@ bool Server::start(std::string* error) {
   if (!listener.ok()) return false;
   net::LoopOptions loop_options;
   loop_options.idle_timeout = options_.idle_timeout;
-  loop_options.use_poll = options_.use_poll_backend;
   // A fresh loop per start: the loop's stop latch is one-shot by design.
   // The cast happens here, in class scope, because Handler is a private base.
   loop_ = std::make_unique<net::EventLoop>(loop_options,
@@ -67,7 +66,6 @@ NetGauges Server::net_gauges() const {
   NetGauges g;
   if (loop_) {
     const net::LoopStats s = loop_->stats();
-    g.backend = loop_->backend();
     g.accepted = s.accepted;
     g.open = s.open;
     g.idle = s.reading;

@@ -65,8 +65,6 @@ struct ServerOptions {
   DurNs default_deadline = 0;
   /// Close connections idle longer than this (0 = keep them forever).
   DurNs idle_timeout = 0;
-  /// Force the portable poll(2) readiness backend instead of epoll.
-  bool use_poll_backend = false;
   /// Monitor hooks for the `monitor_status`/`alerts` ops (osn-monitord
   /// wires its Monitor's renderers in; empty means "no monitor attached").
   std::function<std::string()> monitor_status;
@@ -91,8 +89,6 @@ class Server : private net::Handler {
 
   /// The bound port (valid after start(); resolves port 0).
   std::uint16_t port() const { return loop_ ? loop_->port() : 0; }
-  /// The readiness backend actually in use ("epoll" or "poll").
-  const char* backend() const { return loop_ ? loop_->backend() : "?"; }
 
   ServerMetrics& metrics() { return metrics_; }
   TraceCatalog& catalog() { return *catalog_; }

@@ -29,9 +29,12 @@
 
 namespace osn::trace {
 
-/// Exact integer accumulator over durations: mirrors noise::ActivityAccum so
-/// merged aggregates reduce to byte-identical statistics. Associative merge;
-/// min is the usual max-sentinel when count == 0.
+/// Exact integer accumulator over durations: count/sum/min/max. Unlike a
+/// floating-point streaming mean, merging partials is associative and
+/// bit-exact, so sharded analysis, the streaming stats and merged chunk
+/// pre-aggregates all reduce to byte-identical statistics whatever the
+/// chunking. min is the usual max-sentinel when count == 0. (A uint64
+/// nanosecond sum holds > 580 years of activity; no overflow in practice.)
 struct AggAccum {
   std::uint64_t count = 0;
   std::uint64_t sum = 0;

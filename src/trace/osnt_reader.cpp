@@ -1,9 +1,9 @@
 #include "trace/osnt_reader.hpp"
 
-#include <unistd.h>
-#if defined(__linux__)
+#include <fcntl.h>
 #include <sys/mman.h>
-#endif
+#include <sys/stat.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cstring>
@@ -21,12 +21,6 @@ namespace {
 
 /// Largest cpu id the layout accepts.
 constexpr std::uint64_t kMaxCpus = 65536;
-
-/// Cap on the footer region a recovery scan will materialize in pread mode.
-/// Real footers (metadata + task table + drain counters) are tiny; the cap
-/// keeps a hostile terminator-followed-by-gigabytes file from forcing a
-/// whole-tail allocation. Anything larger is treated as damaged.
-constexpr std::uint64_t kMaxFooterBytes = 64ull << 20;
 
 /// Walks every record of a v3 chunk payload, calling
 /// `emit(cpu, delta, pid64, event64, arg, pos)` per record. The walker owns
@@ -237,62 +231,39 @@ void check_crc(const std::uint8_t* body, std::uint64_t len, std::uint64_t payloa
 // Construction / indexing
 // ---------------------------------------------------------------------------
 
-OsntReader::OsntReader(const std::string& path, IoMode mode)
-    : file_(std::fopen(path.c_str(), "rb")) {
-  if (file_ == nullptr) throw TraceReadError("cannot open trace file: " + path, 0);
-  std::fseek(file_, 0, SEEK_END);
-  const long end = std::ftell(file_);
-  if (end < 0) throw TraceReadError("cannot size trace file: " + path, 0);
-  size_ = static_cast<std::uint64_t>(end);
-  backend_ = IoBackend::kPread;
-  if (mode == IoMode::kAuto) {
-    map_ = MappedFile::map(fileno(file_), size_);
-    if (map_.valid()) {
-      mem_ = map_.data();
-      backend_ = IoBackend::kMmap;
-    }
-  }
+OsntReader::OsntReader(const std::string& path) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) throw TraceReadError("cannot open trace file: " + path, 0);
+  struct stat st {};
+  const bool sized = ::fstat(fd, &st) == 0;
+  // The mapping outlives the descriptor; an empty file has nothing to map
+  // and fails below as a short file.
+  if (sized && st.st_size > 0) map_ = MappedFile::map(fd, static_cast<std::uint64_t>(st.st_size));
+  ::close(fd);
+  if (!sized) throw TraceReadError("cannot size trace file: " + path, 0);
+  if (st.st_size > 0 && !map_.valid()) throw TraceReadError("cannot map trace file: " + path, 0);
+  bytes_ = {map_.data(), static_cast<std::size_t>(map_.size())};
   open_and_index();
 }
 
 OsntReader::OsntReader(std::vector<std::uint8_t> bytes)
-    : bytes_(std::move(bytes)), mem_(bytes_.data()), size_(bytes_.size()) {
+    : owned_(std::move(bytes)), bytes_(owned_) {
   open_and_index();
 }
 
-OsntReader::OsntReader(const std::uint8_t* data, std::size_t size)
-    : mem_(data), size_(size) {
+OsntReader::OsntReader(const std::uint8_t* data, std::size_t size) : bytes_(data, size) {
   open_and_index();
 }
 
-OsntReader::~OsntReader() {
-  map_ = MappedFile();  // unmap before closing the descriptor
-  if (file_ != nullptr) std::fclose(file_);
-}
-
-const std::uint8_t* OsntReader::view_at(std::uint64_t offset, std::uint64_t len,
-                                        std::vector<std::uint8_t>& scratch) const {
-  if (offset > size_ || len > size_ - offset)
+const std::uint8_t* OsntReader::view_at(std::uint64_t offset, std::uint64_t len) const {
+  if (offset > bytes_.size() || len > bytes_.size() - offset)
     throw TraceReadError("read beyond end of trace", offset);
-  if (mem_ != nullptr) return mem_ + offset;  // mapping or in-memory buffer
-  // pread fallback: thread-safe positioned reads into caller-local scratch —
-  // parallel chunk decode shares the one descriptor without seeking.
-  scratch.resize(static_cast<std::size_t>(len));
-  if (len == 0) return scratch.data();
-  std::size_t done = 0;
-  while (done < scratch.size()) {
-    const ssize_t n = ::pread(fileno(file_), scratch.data() + done, scratch.size() - done,
-                              static_cast<off_t>(offset + done));
-    if (n <= 0) throw TraceReadError("trace file read failed", offset + done);
-    done += static_cast<std::size_t>(n);
-  }
-  return scratch.data();
+  return bytes_.data() + offset;
 }
 
 void OsntReader::open_and_index() {
-  std::vector<std::uint8_t> scratch;
-  const std::uint64_t head_len = std::min<std::uint64_t>(size_, 20);
-  const std::uint8_t* head = view_at(0, head_len, scratch);
+  const std::uint64_t head_len = std::min<std::uint64_t>(bytes_.size(), 20);
+  const std::uint8_t* head = view_at(0, head_len);
   std::size_t pos = 0;
   if (get_varint(head, static_cast<std::size_t>(head_len), pos) != osnt::kMagic)
     throw TraceReadError("bad magic: not an OSNT trace", 0);
@@ -326,10 +297,9 @@ void OsntReader::open_and_index() {
 }
 
 bool OsntReader::parse_trailer_and_index() {
-  if (size_ < data_begin_ + osnt::kTrailerSize) return false;
-  std::vector<std::uint8_t> tscratch;
-  const std::uint8_t* trailer =
-      view_at(size_ - osnt::kTrailerSize, osnt::kTrailerSize, tscratch);
+  const std::uint64_t size = bytes_.size();
+  if (size < data_begin_ + osnt::kTrailerSize) return false;
+  const std::uint8_t* trailer = view_at(size - osnt::kTrailerSize, osnt::kTrailerSize);
   std::size_t tpos = 0;
   const std::uint64_t index_offset = osnt::get_u64le(trailer, osnt::kTrailerSize, tpos);
   const std::uint64_t footer_offset = osnt::get_u64le(trailer, osnt::kTrailerSize, tpos);
@@ -337,10 +307,9 @@ bool OsntReader::parse_trailer_and_index() {
   if (osnt::get_u32le(trailer, osnt::kTrailerSize, tpos) != osnt::kTrailerMagic)
     return false;
 
-  const std::uint64_t index_end = size_ - osnt::kTrailerSize;
+  const std::uint64_t index_end = size - osnt::kTrailerSize;
   if (index_offset < data_begin_ || index_offset + 5 > index_end) return false;
-  std::vector<std::uint8_t> iscratch;
-  const std::uint8_t* idx = view_at(index_offset, index_end - index_offset, iscratch);
+  const std::uint8_t* idx = view_at(index_offset, index_end - index_offset);
   const auto isize = static_cast<std::size_t>(index_end - index_offset);
 
   // Entries first, then their CRC; an optional pre-aggregate block may
@@ -381,7 +350,9 @@ bool OsntReader::parse_trailer_and_index() {
   }
   if (footer_offset < data_begin_ || footer_offset >= index_offset) return false;
   try {
-    parse_footer(footer_offset, index_offset);
+    const std::uint64_t footer_end = parse_footer(footer_offset, index_offset);
+    if (footer_end != index_offset)
+      throw TraceReadError("trailing bytes after trace footer", footer_end);
   } catch (const TraceReadError& e) {
     // Index intact but footer rotted: salvage the records, surface the
     // problem through verify()/truncated() instead of refusing the file.
@@ -427,9 +398,8 @@ void OsntReader::parse_aggregate_block(const std::uint8_t* idx, std::size_t size
   }
 }
 
-void OsntReader::parse_footer(std::uint64_t footer_offset, std::uint64_t end) {
-  std::vector<std::uint8_t> scratch;
-  const std::uint8_t* footer = view_at(footer_offset, end - footer_offset, scratch);
+std::uint64_t OsntReader::parse_footer(std::uint64_t footer_offset, std::uint64_t end) {
+  const std::uint8_t* footer = view_at(footer_offset, end - footer_offset);
   const auto fsize = static_cast<std::size_t>(end - footer_offset);
   std::size_t pos = 0;
   TraceMeta meta;
@@ -440,35 +410,34 @@ void OsntReader::parse_footer(std::uint64_t footer_offset, std::uint64_t end) {
   } catch (const TraceReadError& e) {
     throw TraceReadError(e.what(), footer_offset + e.byte_offset());
   }
-  if (pos != fsize)
-    throw TraceReadError("trailing bytes after trace footer", footer_offset + pos);
   if (meta.n_cpus > kMaxCpus)
     throw TraceReadError("footer n_cpus out of range", footer_offset);
   meta_ = std::move(meta);
   tasks_ = std::move(tasks);
+  return footer_offset + pos;
 }
 
 void OsntReader::recover_by_scan() {
   // The trailer or index is unusable (killed writer, torn tail, bit rot in
   // the index). Walk the chunk stream from the front, CRC-checking each
   // chunk, and keep everything up to the first corrupt byte. Every access is
-  // a bounded window — one chunk (or the capped footer region) at a time —
-  // so recovery of a damaged multi-GiB file never materializes the file.
+  // a view of the mapping, so recovery of a damaged multi-GiB file never
+  // copies it.
+  const std::uint64_t size = bytes_.size();
   std::uint64_t pos = data_begin_;
   bool footer_ok = false;
   // No trustworthy metadata yet: bound cpu ids by the format limit only.
   ChunkDecoder dec(kMaxCpus);
   for (;;) {
-    if (pos >= size_) {
+    if (pos >= size) {
       truncated_ = true;
       break;
     }
     std::uint64_t count = 0, payload_len = 0;
     std::uint64_t header_len = 0;
     try {
-      std::vector<std::uint8_t> hscratch;
-      const std::uint64_t hlen = std::min<std::uint64_t>(size_ - pos, 20);
-      const std::uint8_t* head = view_at(pos, hlen, hscratch);
+      const std::uint64_t hlen = std::min<std::uint64_t>(size - pos, 20);
+      const std::uint8_t* head = view_at(pos, hlen);
       std::size_t hpos = 0;
       count = get_varint(head, static_cast<std::size_t>(hlen), hpos);
       if (count != 0) payload_len = get_varint(head, static_cast<std::size_t>(hlen), hpos);
@@ -480,36 +449,14 @@ void OsntReader::recover_by_scan() {
       break;
     }
     if (count == 0) {
-      // Terminator: a footer should follow (the index after it is what
-      // failed to parse — ignore it, we just rebuilt it).
-      const std::uint64_t footer_off = pos + header_len;
-      const std::uint64_t footer_end =
-          std::min(size_, footer_off + kMaxFooterBytes);
+      // Terminator: a footer should follow. Whatever comes after it is the
+      // damaged index we just rebuilt, so trailing bytes are expected.
       try {
-        parse_footer(footer_off, footer_end);
+        parse_footer(pos + header_len, size);
         footer_ok = true;
-      } catch (const TraceReadError&) {
-        // Footer region may legitimately be followed by the damaged index,
-        // so "trailing bytes" is not decisive — reparse leniently: accept a
-        // footer that parses, whatever follows it.
-        try {
-          std::vector<std::uint8_t> fscratch;
-          const std::uint8_t* tail =
-              view_at(footer_off, footer_end - footer_off, fscratch);
-          const auto tsize = static_cast<std::size_t>(footer_end - footer_off);
-          std::size_t fpos = 0;
-          TraceMeta meta;
-          std::map<Pid, TaskInfo> tasks;
-          osnt::get_meta_and_tasks(tail, tsize, fpos, meta, tasks);
-          osnt::get_drain(tail, tsize, fpos, meta.drain);
-          meta_ = std::move(meta);
-          tasks_ = std::move(tasks);
-          footer_ok = true;
-        } catch (const TraceReadError& e) {
-          truncated_ = true;
-          open_issues_.push_back(
-              ChunkIssue{TraceReadError::kNoChunk, e.byte_offset(), e.what()});
-        }
+      } catch (const TraceReadError& e) {
+        truncated_ = true;
+        open_issues_.push_back(ChunkIssue{TraceReadError::kNoChunk, e.byte_offset(), e.what()});
       }
       break;
     }
@@ -519,11 +466,9 @@ void OsntReader::recover_by_scan() {
     c.payload_len = payload_len;
     const auto id = static_cast<std::int64_t>(chunks_.size());
     try {
-      if (payload_len > size_ - pos - header_len ||
-          4 > size_ - pos - header_len - payload_len)
+      if (payload_len > size - pos - header_len || 4 > size - pos - header_len - payload_len)
         throw TraceReadError("chunk extends past end of trace", pos, id);
-      std::vector<std::uint8_t> bscratch;
-      const std::uint8_t* body = view_at(pos + header_len, payload_len + 4, bscratch);
+      const std::uint8_t* body = view_at(pos + header_len, payload_len + 4);
       check_crc(body, payload_len, pos + header_len, id);
       const ChunkSpan span =
           dec.walk(body, static_cast<std::size_t>(payload_len), count, pos + header_len, id,
@@ -573,19 +518,18 @@ std::size_t OsntReader::decode_cpu_bound() const {
   return meta_.n_cpus;
 }
 
-const std::uint8_t* OsntReader::chunk_payload(std::size_t i, std::uint64_t& payload_off,
-                                              std::vector<std::uint8_t>& scratch) const {
+const std::uint8_t* OsntReader::chunk_payload(std::size_t i, std::uint64_t& payload_off) const {
   const ChunkInfo& c = chunks_[i];
   const auto id = static_cast<std::int64_t>(i);
-  const std::uint64_t hlen = std::min<std::uint64_t>(size_ - c.offset, 20);
-  const std::uint8_t* head = view_at(c.offset, hlen, scratch);
+  const std::uint64_t hlen = std::min<std::uint64_t>(bytes_.size() - c.offset, 20);
+  const std::uint8_t* head = view_at(c.offset, hlen);
   std::size_t hpos = 0;
   const std::uint64_t count = get_varint(head, static_cast<std::size_t>(hlen), hpos);
   const std::uint64_t payload_len = get_varint(head, static_cast<std::size_t>(hlen), hpos);
   if (count != c.records || payload_len != c.payload_len)
     throw TraceReadError("chunk header disagrees with index", c.offset, id);
   payload_off = c.offset + hpos;
-  const std::uint8_t* body = view_at(payload_off, c.payload_len + 4, scratch);
+  const std::uint8_t* body = view_at(payload_off, c.payload_len + 4);
   check_crc(body, c.payload_len, payload_off, id);
   return body;
 }
@@ -616,7 +560,7 @@ void refine_truncated_meta(TraceMeta& meta,
 /// mapping would COW-copy every page. Advisory; failure means ordinary
 /// demand paging.
 void prefault_readable(const void* data, std::size_t bytes) {
-#if defined(__linux__) && defined(MADV_POPULATE_READ)
+#if defined(MADV_POPULATE_READ)
   static const std::uintptr_t page =
       static_cast<std::uintptr_t>(::sysconf(_SC_PAGESIZE));
   const auto addr = reinterpret_cast<std::uintptr_t>(data);
@@ -630,10 +574,10 @@ void prefault_readable(const void* data, std::size_t bytes) {
 #endif
 }
 
-/// Runs fn(k, decoder, scratch) for every k in [0, n) and returns what each k
-/// threw. Serially, or on the pool in contiguous slices (a few per thread),
-/// each slice with its own decoder and scratch, so per-cpu decode state costs
-/// O(threads x cpus) at most.
+/// Runs fn(k, decoder) for every k in [0, n) and returns what each k threw.
+/// Serially, or on the pool in contiguous slices (a few per thread), each
+/// slice with its own decoder, so per-cpu decode state costs O(threads x
+/// cpus) at most.
 template <class Fn>
 std::vector<std::exception_ptr> for_chunks(std::size_t n, ThreadPool* pool,
                                            std::size_t cpu_bound, Fn&& fn) {
@@ -642,10 +586,9 @@ std::vector<std::exception_ptr> for_chunks(std::size_t n, ThreadPool* pool,
       std::min(n, pool == nullptr ? std::size_t{1} : 4 * (pool->worker_count() + 1));
   const auto run_slice = [&](std::size_t s) {
     ChunkDecoder dec(cpu_bound);
-    std::vector<std::uint8_t> scratch;
     for (std::size_t k = n * s / slices; k < n * (s + 1) / slices; ++k) {
       try {
-        fn(k, dec, scratch);
+        fn(k, dec);
       } catch (...) {
         errors[k] = std::current_exception();
       }
@@ -675,11 +618,12 @@ TraceModel OsntReader::decode(const std::vector<std::size_t>& ids, ThreadPool* p
 
   // The decode touches every selected chunk byte twice; fault the mapping in
   // bulk up front rather than a trap at a time during the first walk.
-  if (backend_ == IoBackend::kMmap && n > 0) {
+  if (map_.valid() && n > 0) {
     const std::uint64_t begin = chunks_[ids.front()].offset;
     const ChunkInfo& last = chunks_[ids.back()];
-    const std::uint64_t end = std::min(size_, last.offset + 20 + last.payload_len + 4);
-    prefault_readable(mem_ + begin, static_cast<std::size_t>(end - begin));
+    const std::uint64_t end =
+        std::min<std::uint64_t>(bytes_.size(), last.offset + 20 + last.payload_len + 4);
+    prefault_readable(bytes_.data() + begin, static_cast<std::size_t>(end - begin));
   }
 
   // Pass 1: verify each chunk's header against the index and its CRC, and
@@ -688,9 +632,9 @@ TraceModel OsntReader::decode(const std::vector<std::size_t>& ids, ThreadPool* p
   std::vector<std::vector<CpuRun>> runs(n);
   const std::vector<std::exception_ptr> errors = for_chunks(
       n, pool, cpu_bound,
-      [&](std::size_t k, ChunkDecoder& dec, std::vector<std::uint8_t>& scratch) {
+      [&](std::size_t k, ChunkDecoder& dec) {
         std::uint64_t payload_off = 0;
-        const std::uint8_t* payload = chunk_payload(ids[k], payload_off, scratch);
+        const std::uint8_t* payload = chunk_payload(ids[k], payload_off);
         const ChunkInfo& c = chunks_[ids[k]];
         std::vector<CpuRun>& mine = runs[k];
         dec.count(payload, static_cast<std::size_t>(c.payload_len), c.records, payload_off,
@@ -727,9 +671,9 @@ TraceModel OsntReader::decode(const std::vector<std::size_t>& ids, ThreadPool* p
   std::vector<ChunkSpan> spans(failed);
   const std::vector<std::exception_ptr> errors2 = for_chunks(
       failed, pool, cpu_bound,
-      [&](std::size_t k, ChunkDecoder& dec, std::vector<std::uint8_t>& scratch) {
+      [&](std::size_t k, ChunkDecoder& dec) {
         std::uint64_t payload_off = 0;
-        const std::uint8_t* payload = chunk_payload(ids[k], payload_off, scratch);
+        const std::uint8_t* payload = chunk_payload(ids[k], payload_off);
         const std::vector<CpuRun>& mine = runs[k];
         const ChunkInfo& c = chunks_[ids[k]];
         std::size_t next = 0;  // the next cpu of `mine` to appear
@@ -797,13 +741,12 @@ void OsntReader::for_each(
     const std::function<void(const tracebuf::EventRecord&)>& fn) const {
   require_ordered_index();
   ChunkDecoder dec(decode_cpu_bound());
-  std::vector<std::uint8_t> scratch;
   std::vector<tracebuf::EventRecord> records;
   ChunkSpan prev;
   for (std::size_t i = 0; i < chunks_.size(); ++i) {
     // A chunk is checked whole before any of its records is handed out.
     std::uint64_t payload_off = 0;
-    const std::uint8_t* payload = chunk_payload(i, payload_off, scratch);
+    const std::uint8_t* payload = chunk_payload(i, payload_off);
     records.clear();
     const ChunkSpan span =
         walk_indexed(dec, payload, payload_off, chunks_[i], i,
@@ -826,12 +769,11 @@ VerifyReport OsntReader::verify() const {
   report.chunks = chunks_.size();
 
   ChunkDecoder dec(decode_cpu_bound());
-  std::vector<std::uint8_t> scratch;
   std::optional<ChunkSpan> prev;  // the last chunk that decoded
   for (std::size_t i = 0; i < chunks_.size(); ++i) {
     try {
       std::uint64_t payload_off = 0;
-      const std::uint8_t* payload = chunk_payload(i, payload_off, scratch);
+      const std::uint8_t* payload = chunk_payload(i, payload_off);
       const ChunkSpan span = walk_indexed(dec, payload, payload_off, chunks_[i], i,
                                           [](const tracebuf::EventRecord&, CpuState&) {});
       // Each break in the order is reported once: at the chunk where it

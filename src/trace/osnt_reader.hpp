@@ -32,12 +32,11 @@
 // failing chunk's error — is identical at any worker count, and decode
 // memory is O(records + threads x cpus), never chunks x cpus.
 //
-// I/O modes: file-backed readers mmap the file read-only and decode straight
-// out of the mapping (zero-copy); when mmap fails — or IoMode::kPread asks
-// for it (tests, benches) — every access falls back to positioned pread into
-// a caller-local scratch buffer, which stays fully thread-safe and needs
-// O(chunk) memory. Buffer-backed readers (owned or borrowed) are always
-// zero-copy.
+// One byte source: a file-backed reader maps the file read-only and decodes
+// straight out of the mapping (zero-copy); a buffer-backed reader (owned or
+// borrowed) decodes out of the buffer. Every access is a bounds-checked view
+// of that one read-only span. A non-empty file that cannot be mapped is
+// refused at open with a TraceReadError.
 //
 // v3 is the only layout served. A v1/v2 file is refused at open with a
 // TraceReadError naming the one conversion path, `osn-analyze upgrade IN
@@ -47,16 +46,15 @@
 // Thread safety: the reader is immutable after construction, so every const
 // member may be called concurrently from multiple threads on one reader (the
 // query server's workers share a reader per catalog entry). Chunks are read
-// from the immutable mapping (or with pread into local scratch), and the
-// metadata of a truncated file is refined only in the models a read
-// returns — meta() never changes after open.
+// from the immutable span, and the metadata of a truncated file is refined
+// only in the models a read returns — meta() never changes after open.
 #pragma once
 
 #include <cstdint>
-#include <cstdio>
 #include <functional>
 #include <map>
 #include <optional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -104,31 +102,21 @@ struct VerifyReport {
 
 class OsntReader {
  public:
-  /// Requested I/O strategy for file-backed readers.
-  enum class IoMode {
-    kAuto,   ///< mmap the file; silently fall back to pread when mmap fails
-    kPread,  ///< always use positioned reads (no mapping)
-  };
-  /// The strategy actually in effect after construction.
-  enum class IoBackend { kMmap, kPread, kBuffer };
-
-  /// Opens and indexes a v3 trace file. Throws TraceReadError when the file
-  /// cannot be opened, is a v1/v2 file (the message names `osn-analyze
-  /// upgrade`), or the header/index is unusable.
-  explicit OsntReader(const std::string& path, IoMode mode = IoMode::kAuto);
+  /// Maps, opens and indexes a v3 trace file. Throws TraceReadError when the
+  /// file cannot be opened or mapped, is a v1/v2 file (the message names
+  /// `osn-analyze upgrade`), or the header/index is unusable.
+  explicit OsntReader(const std::string& path);
   /// In-memory variant over a serialized buffer (tests, network payloads).
   explicit OsntReader(std::vector<std::uint8_t> bytes);
   /// Borrowed-buffer variant: decodes out of caller-owned memory without
   /// copying. The buffer must outlive the reader.
   OsntReader(const std::uint8_t* data, std::size_t size);
-  ~OsntReader();
 
   OsntReader(const OsntReader&) = delete;
   OsntReader& operator=(const OsntReader&) = delete;
 
   bool truncated() const { return truncated_; }
   bool index_recovered() const { return index_recovered_; }
-  IoBackend io_backend() const { return backend_; }
   /// Chunk index (rebuilt by scan when damaged).
   const std::vector<ChunkInfo>& chunks() const { return chunks_; }
   std::uint64_t indexed_records() const;
@@ -191,36 +179,31 @@ class OsntReader {
   bool parse_trailer_and_index();
   void parse_aggregate_block(const std::uint8_t* idx, std::size_t size, std::size_t pos,
                              std::size_t n_chunks, std::uint64_t base_offset);
-  void parse_footer(std::uint64_t footer_offset, std::uint64_t end);
+  /// Parses the footer starting at footer_offset (reading no further than
+  /// `end`) into meta_/tasks_; returns the offset one past it.
+  std::uint64_t parse_footer(std::uint64_t footer_offset, std::uint64_t end);
   void recover_by_scan();
   void synthesize_truncated_meta();
   /// Largest cpu id + 1 the decode accepts for this file.
   std::size_t decode_cpu_bound() const;
-  /// A view of [offset, offset+len): a pointer into the mapping/buffer when
-  /// one exists (scratch untouched), otherwise `scratch` is filled by pread
-  /// and its data() returned. Thread-safe; the view is valid as long as both
-  /// the reader and `scratch` live.
-  const std::uint8_t* view_at(std::uint64_t offset, std::uint64_t len,
-                              std::vector<std::uint8_t>& scratch) const;
+  /// A view of [offset, offset+len) of the byte source; throws
+  /// TraceReadError when the range runs past the end. Valid as long as the
+  /// reader lives.
+  const std::uint8_t* view_at(std::uint64_t offset, std::uint64_t len) const;
   /// Chunk `i`'s payload, after its header was checked against the index and
   /// its CRC verified; sets `payload_off` to the payload's file offset.
-  const std::uint8_t* chunk_payload(std::size_t i, std::uint64_t& payload_off,
-                                    std::vector<std::uint8_t>& scratch) const;
+  const std::uint8_t* chunk_payload(std::size_t i, std::uint64_t& payload_off) const;
   /// Throws the index-order issue found at open, if any.
   void require_ordered_index() const;
   /// The one model-building decode behind read_all, read_chunks and
   /// read_window: count per cpu, then decode into exact slots.
   TraceModel decode(const std::vector<std::size_t>& ids, ThreadPool* pool) const;
 
-  std::FILE* file_ = nullptr;            ///< file-backed mode
-  MappedFile map_;                       ///< file-backed mode with mmap
-  std::vector<std::uint8_t> bytes_;      ///< owned in-memory mode
-  /// Zero-copy base pointer (mapping, owned buffer, or borrowed buffer);
-  /// nullptr means every access goes through pread.
-  const std::uint8_t* mem_ = nullptr;
-  std::uint64_t size_ = 0;
-  std::uint64_t data_begin_ = 0;         ///< first byte after the header varints
-  IoBackend backend_ = IoBackend::kBuffer;
+  MappedFile map_;                   ///< file-backed readers: the mapping
+  std::vector<std::uint8_t> owned_;  ///< owned-buffer readers: the buffer
+  /// The one byte source: the mapping, the owned buffer or the borrowed one.
+  std::span<const std::uint8_t> bytes_;
+  std::uint64_t data_begin_ = 0;     ///< first byte after the header varints
 
   bool truncated_ = false;
   bool index_recovered_ = false;

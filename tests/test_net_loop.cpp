@@ -1,9 +1,7 @@
-// EventLoop tests against a toy echo protocol, run over BOTH readiness
-// backends (epoll and the poll(2) fallback) via the value-parameterized
-// fixture. The handler echoes each frame back with an "echo:" prefix —
-// enough protocol to exercise accept, dispatch, pipelining, shed, idle
-// reaping, drain goodbyes, timers, and the worker-facing thread contract
-// without dragging in the serve layer.
+// EventLoop tests against a toy echo protocol. The handler echoes each
+// frame back with an "echo:" prefix — enough protocol to exercise accept,
+// dispatch, pipelining, shed, idle reaping, drain goodbyes, timers, and the
+// worker-facing thread contract without dragging in the serve layer.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -82,11 +80,9 @@ class EchoHandler : public Handler {
   std::vector<std::thread> workers_;
 };
 
-/// Param: use the poll(2) backend instead of epoll.
-class EventLoopTest : public ::testing::TestWithParam<bool> {
+class EventLoopTest : public ::testing::Test {
  protected:
   void start(LoopOptions options = {}, std::size_t admit_limit = SIZE_MAX) {
-    options.use_poll = GetParam();
     handler_ = std::make_unique<EchoHandler>(admit_limit);
     loop_ = std::make_unique<EventLoop>(options, handler_.get());
     handler_->attach(loop_.get());
@@ -117,12 +113,7 @@ class EventLoopTest : public ::testing::TestWithParam<bool> {
   std::unique_ptr<EventLoop> loop_;
 };
 
-TEST_P(EventLoopTest, ReportsItsBackend) {
-  start();
-  EXPECT_STREQ(loop_->backend(), GetParam() ? "poll" : "epoll");
-}
-
-TEST_P(EventLoopTest, EchoesOneLineFrame) {
+TEST_F(EventLoopTest, EchoesOneLineFrame) {
   start();
   TcpStream s = connect();
   const Deadline deadline = Deadline::after(5 * kNsPerSec);
@@ -132,7 +123,7 @@ TEST_P(EventLoopTest, EchoesOneLineFrame) {
   EXPECT_EQ(*reply, "echo:hello");
 }
 
-TEST_P(EventLoopTest, EchoesOsnbFramesAfterPreamble) {
+TEST_F(EventLoopTest, EchoesOsnbFramesAfterPreamble) {
   start();
   TcpStream s = connect();
   const Deadline deadline = Deadline::after(5 * kNsPerSec);
@@ -148,7 +139,7 @@ TEST_P(EventLoopTest, EchoesOsnbFramesAfterPreamble) {
   EXPECT_EQ(frame, "echo:ping");
 }
 
-TEST_P(EventLoopTest, ServesPipelinedFramesSentAsOneWrite) {
+TEST_F(EventLoopTest, ServesPipelinedFramesSentAsOneWrite) {
   // All three frames land in one TCP segment; the loop must serve the ones
   // buffered past the dispatched batch without another readiness event.
   start();
@@ -165,7 +156,7 @@ TEST_P(EventLoopTest, ServesPipelinedFramesSentAsOneWrite) {
   EXPECT_EQ(stats.frames_out, 3u);
 }
 
-TEST_P(EventLoopTest, ManySequentialRoundTripsOnOneConnection) {
+TEST_F(EventLoopTest, ManySequentialRoundTripsOnOneConnection) {
   start();
   TcpStream s = connect();
   const Deadline deadline = Deadline::after(10 * kNsPerSec);
@@ -178,7 +169,7 @@ TEST_P(EventLoopTest, ManySequentialRoundTripsOnOneConnection) {
   }
 }
 
-TEST_P(EventLoopTest, ShedConnectionGetsOverloadedControlFrame) {
+TEST_F(EventLoopTest, ShedConnectionGetsOverloadedControlFrame) {
   start({}, /*admit_limit=*/1);
   TcpStream first = connect();
   const Deadline deadline = Deadline::after(5 * kNsPerSec);
@@ -196,7 +187,7 @@ TEST_P(EventLoopTest, ShedConnectionGetsOverloadedControlFrame) {
   EXPECT_FALSE(second.ok());
 }
 
-TEST_P(EventLoopTest, FramingViolationClosesTheConnection) {
+TEST_F(EventLoopTest, FramingViolationClosesTheConnection) {
   LoopOptions options;
   options.max_frame_bytes = 64;
   start(options);
@@ -212,7 +203,7 @@ TEST_P(EventLoopTest, FramingViolationClosesTheConnection) {
   EXPECT_EQ(loop_->stats().codec_errors, 1u);
 }
 
-TEST_P(EventLoopTest, IdleConnectionsAreReaped) {
+TEST_F(EventLoopTest, IdleConnectionsAreReaped) {
   LoopOptions options;
   options.idle_timeout = 50 * kNsPerMs;
   start(options);
@@ -225,7 +216,7 @@ TEST_P(EventLoopTest, IdleConnectionsAreReaped) {
   EXPECT_GE(loop_->stats().idle_timeouts, 1u);
 }
 
-TEST_P(EventLoopTest, DrainSendsGoodbyeToIdleConnections) {
+TEST_F(EventLoopTest, DrainSendsGoodbyeToIdleConnections) {
   start();
   TcpStream s = connect();
   const Deadline deadline = Deadline::after(5 * kNsPerSec);
@@ -239,7 +230,7 @@ TEST_P(EventLoopTest, DrainSendsGoodbyeToIdleConnections) {
   EXPECT_FALSE(s.recv_line(deadline)) << "goodbye is followed by close";
 }
 
-TEST_P(EventLoopTest, TimersFireInOrderOnTheLoopThread) {
+TEST_F(EventLoopTest, TimersFireInOrderOnTheLoopThread) {
   start();
   std::mutex mu;
   std::condition_variable cv;
@@ -260,7 +251,7 @@ TEST_P(EventLoopTest, TimersFireInOrderOnTheLoopThread) {
   EXPECT_EQ(fired, (std::vector<int>{1, 2}));
 }
 
-TEST_P(EventLoopTest, StatsTrackConnectionLifecycle) {
+TEST_F(EventLoopTest, StatsTrackConnectionLifecycle) {
   start();
   {
     TcpStream s = connect();
@@ -272,8 +263,9 @@ TEST_P(EventLoopTest, StatsTrackConnectionLifecycle) {
     EXPECT_EQ(mid.open, 1u);
     EXPECT_GE(mid.write_queue_hwm, std::string("echo:hi").size());
   }
+  // The loop counts the close before it calls on_closed: wait for both.
   const Deadline settle = Deadline::after(5 * kNsPerSec);
-  while (loop_->stats().closed == 0 && !settle.expired())
+  while ((loop_->stats().closed == 0 || handler_->closed_.load() == 0) && !settle.expired())
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   const LoopStats after = loop_->stats();
   EXPECT_EQ(after.closed, 1u);
@@ -281,16 +273,11 @@ TEST_P(EventLoopTest, StatsTrackConnectionLifecycle) {
   EXPECT_EQ(handler_->closed_.load(), 1u);
 }
 
-TEST_P(EventLoopTest, StopWithNoConnectionsIsPrompt) {
+TEST_F(EventLoopTest, StopWithNoConnectionsIsPrompt) {
   start();
   loop_->stop();
   loop_.reset();  // TearDown would double-stop; exercise idempotence anyway
 }
-
-INSTANTIATE_TEST_SUITE_P(Backends, EventLoopTest, ::testing::Values(false, true),
-                         [](const ::testing::TestParamInfo<bool>& param_info) {
-                           return param_info.param ? "Poll" : "Epoll";
-                         });
 
 }  // namespace
 }  // namespace osn::net

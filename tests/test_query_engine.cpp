@@ -1,8 +1,8 @@
 // Engine equivalence properties: every (window, predicate, aggregate) plan
 // over randomized traces (and the golden v2 trace, upgraded) must produce
 // bytes identical to the primitive composition (read_all → window_of →
-// restrict → NoiseAnalysis → exporter), at any worker count, over either I/O
-// backend, hot or cold cache. These are the tests that allowed the
+// restrict → NoiseAnalysis → exporter), at any worker count, read from a
+// file mapping or a buffer, hot or cold cache. These are the tests that allowed the
 // duplicated serve/CLI execution paths to be deleted: the planner is
 // provably the same computation.
 #include <gtest/gtest.h>
@@ -103,7 +103,7 @@ TEST_P(EnginePlans, WindowAndCpuPlansMatchPrimitiveCompositionOnV3) {
   ThreadPool pool(3);
   Engine engine;
   trace::OsntReader mapped(path);
-  trace::OsntReader preading(path, trace::OsntReader::IoMode::kPread);
+  trace::OsntReader buffered(osn::testing::file_bytes(path));
   ASSERT_GT(mapped.chunks().size(), 1u);  // pushdown must have ranges to pick
 
   for (int round = 0; round < 6; ++round) {
@@ -119,7 +119,7 @@ TEST_P(EnginePlans, WindowAndCpuPlansMatchPrimitiveCompositionOnV3) {
     const std::string expect = ground_truth_summary(model, plan);
     EXPECT_EQ(engine.run(mapped, "", plan), expect) << "serial/mmap round " << round;
     EXPECT_EQ(engine.run(mapped, "", plan, &pool), expect) << "pooled round " << round;
-    EXPECT_EQ(engine.run(preading, "", plan, &pool), expect) << "pread round " << round;
+    EXPECT_EQ(engine.run(buffered, "", plan, &pool), expect) << "buffer round " << round;
   }
 }
 
@@ -268,7 +268,7 @@ TEST(Engine, ChartTimeseriesTopkAreDeterministicAcrossBackends) {
   const trace::TraceModel model = serve::testing::make_model();
   const std::string path = write_v3(model, dir, "t");
   trace::OsntReader mapped(path);
-  trace::OsntReader preading(path, trace::OsntReader::IoMode::kPread);
+  trace::OsntReader buffered(osn::testing::file_bytes(path));
   ThreadPool pool(3);
   Engine engine;
 
@@ -281,7 +281,7 @@ TEST(Engine, ChartTimeseriesTopkAreDeterministicAcrossBackends) {
     const std::string serial = engine.run(mapped, "", plan);
     EXPECT_FALSE(serial.empty());
     EXPECT_EQ(engine.run(mapped, "", plan, &pool), serial) << aggregate_name(agg);
-    EXPECT_EQ(engine.run(preading, "", plan, &pool), serial) << aggregate_name(agg);
+    EXPECT_EQ(engine.run(buffered, "", plan, &pool), serial) << aggregate_name(agg);
   }
 }
 

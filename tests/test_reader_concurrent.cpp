@@ -3,7 +3,7 @@
 // The query server shares one OsntReader per catalog entry across all its
 // workers, so read_all / read_window / verify / meta must be callable
 // concurrently and return exactly what a single-threaded caller would get.
-// The reader is immutable after open (mapping or pread + immutable index and
+// The reader is immutable after open (read-only mapping + immutable index and
 // metadata), so none of it takes a lock; results are compared as TraceModels.
 #include <gtest/gtest.h>
 #include <unistd.h>

@@ -369,7 +369,7 @@ TEST(Server, PipelinedRequestsAreServedInOrder) {
   ASSERT_TRUE(server.start());
 
   // Two requests in one write: the second arrives buffered behind the first,
-  // where poll(2) cannot see it — the server must drain it anyway.
+  // where the poller cannot see it — the server must drain it anyway.
   TcpStream s = TcpStream::connect("127.0.0.1", server.port(), Deadline::after(sec(10)));
   ASSERT_TRUE(s.ok());
   Request first;
@@ -632,24 +632,6 @@ TEST(Server, BinaryClientIsShedWithBinaryControlFrame) {
   EXPECT_GE(server.metrics().shed(), 1u);
 
   occupant.join();
-  server.stop();
-}
-
-TEST(Server, PollBackendServesBothWires) {
-  TempDir dir("server_poll");
-  write_trace(make_model(), dir.path(), "t");
-  ServerOptions opts = options_for(dir.path());
-  opts.use_poll_backend = true;
-  Server server(opts);
-  ASSERT_TRUE(server.start());
-  EXPECT_STREQ(server.backend(), "poll");
-
-  for (const Wire wire : {Wire::kJson, Wire::kBinary}) {
-    Client client("127.0.0.1", server.port(), Deadline::after(sec(10)), wire);
-    const Response resp = client.call(summary_request(1), Deadline::after(sec(60)));
-    EXPECT_TRUE(resp.ok) << wire_name(wire) << ": " << resp.error + ": " + resp.message;
-  }
-
   server.stop();
 }
 

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -288,9 +292,9 @@ TEST(TraceIo, StreamWriterDestructorEmptyTruncated) {
   std::remove(path.c_str());
 }
 
-// The reader's three I/O backends (mmap, positioned pread, in-memory buffer)
-// must be observationally identical: same metadata, same records, same window
-// slices, same verify verdicts. Only the access mechanism may differ.
+// The reader maps trace files; the mapping must read exactly like the same
+// bytes fetched with positioned pread(2) into a buffer: same metadata, same
+// records, same window slices, same verify verdicts.
 TEST(TraceIo, MmapAndPreadBackendsAreEquivalent) {
   const TraceModel original = sample_trace();
   const std::string path = ::testing::TempDir() + "/osn_io_backends.osnt";
@@ -299,12 +303,24 @@ TEST(TraceIo, MmapAndPreadBackendsAreEquivalent) {
     for (const auto& rec : original.merged()) writer.append(rec);
     ASSERT_TRUE(writer.finish(original.meta(), original.tasks()));
   }
-
-  OsntReader mapped(path, OsntReader::IoMode::kAuto);
-  OsntReader preading(path, OsntReader::IoMode::kPread);
-  // kAuto maps regular files; kPread must never map.
-  EXPECT_EQ(mapped.io_backend(), OsntReader::IoBackend::kMmap);
-  EXPECT_EQ(preading.io_backend(), OsntReader::IoBackend::kPread);
+  std::vector<std::uint8_t> bytes;
+  {
+    const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+    ASSERT_GE(fd, 0);
+    struct stat st {};
+    ASSERT_EQ(::fstat(fd, &st), 0);
+    bytes.resize(static_cast<std::size_t>(st.st_size));
+    std::size_t done = 0;
+    while (done < bytes.size()) {
+      const ssize_t n = ::pread(fd, bytes.data() + done, bytes.size() - done,
+                                static_cast<off_t>(done));
+      ASSERT_GT(n, 0);
+      done += static_cast<std::size_t>(n);
+    }
+    ::close(fd);
+  }
+  const OsntReader mapped(path);
+  const OsntReader preading{std::move(bytes)};
 
   EXPECT_EQ(mapped.read_all(), original);
   EXPECT_EQ(preading.read_all(), original);
@@ -322,8 +338,9 @@ TEST(TraceIo, MmapAndPreadBackendsAreEquivalent) {
   std::remove(path.c_str());
 }
 
-// Buffer-backed construction — owned bytes or a borrowed span — reports the
-// kBuffer backend and reads identically to the file-backed paths.
+// The reader's byte source may be a file mapping, an owned buffer or a
+// borrowed one: all three must read identically — same metadata, same
+// records, same window slices, same verify verdicts.
 TEST(TraceIo, BufferAndBorrowedBackendsAreEquivalent) {
   const TraceModel original = sample_trace();
   const std::string path = ::testing::TempDir() + "/osn_io_borrow.osnt";
@@ -332,26 +349,34 @@ TEST(TraceIo, BufferAndBorrowedBackendsAreEquivalent) {
     for (const auto& rec : original.merged()) writer.append(rec);
     ASSERT_TRUE(writer.finish(original.meta(), original.tasks()));
   }
-  std::vector<std::uint8_t> bytes;
-  {
-    std::FILE* f = std::fopen(path.c_str(), "rb");
-    ASSERT_NE(f, nullptr);
-    std::fseek(f, 0, SEEK_END);
-    bytes.resize(static_cast<std::size_t>(std::ftell(f)));
-    std::fseek(f, 0, SEEK_SET);
-    ASSERT_EQ(std::fread(bytes.data(), 1, bytes.size(), f), bytes.size());
-    std::fclose(f);
+  const std::vector<std::uint8_t> bytes = osn::testing::file_bytes(path);
+  const OsntReader mapped(path);
+  std::remove(path.c_str());  // the mapping outlives the directory entry
+  const OsntReader borrowed(bytes.data(), bytes.size());
+  const OsntReader owned{std::vector<std::uint8_t>(bytes)};
+
+  const TimeNs mid = original.meta().end_ns / 2;
+  for (const OsntReader* reader : {&mapped, &borrowed, &owned}) {
+    EXPECT_EQ(reader->read_all(), original);
+    EXPECT_EQ(reader->meta(), mapped.meta());
+    EXPECT_EQ(reader->chunks().size(), mapped.chunks().size());
+    // Window reads exercise the per-chunk view path (header reparse + CRC).
+    EXPECT_EQ(reader->read_window(0, mid), mapped.read_window(0, mid));
+    EXPECT_EQ(reader->read_window(mid, original.meta().end_ns + 1),
+              mapped.read_window(mid, original.meta().end_ns + 1));
+    EXPECT_TRUE(reader->verify().clean());
   }
-  std::remove(path.c_str());
+}
 
-  OsntReader borrowed(bytes.data(), bytes.size());
-  EXPECT_EQ(borrowed.io_backend(), OsntReader::IoBackend::kBuffer);
-  EXPECT_EQ(borrowed.read_all(), original);
-
-  OsntReader owned(std::move(bytes));
-  EXPECT_EQ(owned.io_backend(), OsntReader::IoBackend::kBuffer);
-  EXPECT_EQ(owned.read_all(), original);
-  EXPECT_TRUE(owned.verify().clean());
+// A file that cannot be mapped is refused at open, never read another way.
+TEST(TraceIo, UnmappableFileIsRefusedAtOpen) {
+  try {
+    OsntReader reader(::testing::TempDir());  // a directory: opens, cannot map
+    FAIL() << "a directory must not open as a trace";
+  } catch (const TraceReadError& e) {
+    EXPECT_NE(std::string(e.what()).find("cannot map trace file"), std::string::npos)
+        << e.what();
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -33,6 +33,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/format.hpp"
@@ -64,6 +65,19 @@ using namespace osn;
 // ---------------------------------------------------------------------------
 // Tiny argument parser: positionals + --flag / --key value options.
 // ---------------------------------------------------------------------------
+
+/// Every option name any subcommand reads. Anything else is refused, so a
+/// retired or mistyped flag is an error rather than a silent default.
+constexpr std::string_view kKnownOptions[] = {
+    "activity",     "batch",      "buf-capacity",       "category", "cpu",
+    "csv",          "deadline-ms", "from-ms",           "granularity-us",
+    "host",         "iterations", "jobs",               "json",     "k",
+    "min-noise-us", "no-nesting", "no-runnable-filter", "o",        "paraver",
+    "per-rank",     "port",       "quantum-us",         "ranks",    "rows",
+    "seconds",      "seed",       "stall-ms",           "task",     "to-ms",
+    "tolerance",    "top",        "width",              "window",   "wire",
+};
+
 class Args {
  public:
   Args(int argc, char** argv) {
@@ -71,6 +85,9 @@ class Args {
       const std::string arg = argv[i];
       if (!arg.empty() && arg[0] == '-') {
         const std::string key = arg.substr(arg.rfind("--", 0) == 0 ? 2 : 1);
+        if (std::find(std::begin(kKnownOptions), std::end(kKnownOptions), key) ==
+            std::end(kKnownOptions))
+          unknown_.push_back(arg);
         if (i + 1 < argc && argv[i + 1][0] != '-') {
           options_[key] = argv[++i];
         } else {
@@ -98,10 +115,13 @@ class Args {
     return std::strtod(it->second.c_str(), nullptr);
   }
   const std::vector<std::string>& positionals() const { return positionals_; }
+  /// Options not in kKnownOptions, as written on the command line.
+  const std::vector<std::string>& unknown() const { return unknown_; }
 
  private:
   std::map<std::string, std::string> options_;
   std::vector<std::string> positionals_;
+  std::vector<std::string> unknown_;
 };
 
 int usage() {
@@ -142,7 +162,7 @@ int usage() {
       "              [--quantum-us N]\n"
       "  osn-analyze diff <a.osnt> <b.osnt>\n"
       "  osn-analyze scalability <trace.osnt> [--granularity-us N]\n"
-      "              [--ranks N,N,...]\n\n"
+      "              [--ranks N,N,...] [--iterations N]\n\n"
       "Analysis commands accept --jobs N: worker threads for the sharded\n"
       "per-CPU pipeline and the chunk-parallel decode (default: all\n"
       "hardware threads; --jobs 1 runs the serial reference path — both\n"
@@ -933,6 +953,10 @@ int main(int argc, char** argv) {
   if (argc < 2) return usage();
   const std::string cmd = argv[1];
   const Args args(argc, argv);
+  if (!args.unknown().empty()) {
+    std::fprintf(stderr, "error: unknown option %s\n", args.unknown().front().c_str());
+    return usage();
+  }
   // Malformed or corrupt trace input is an expected condition, not a crash:
   // every reader path throws trace::TraceReadError with the byte offset.
   try {

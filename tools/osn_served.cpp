@@ -30,7 +30,7 @@ int usage() {
                "  osn-served --dir DIR [--host H] [--port N] [--port-file FILE]\n"
                "             [--workers N] [--max-inflight N] [--cache-mb N]\n"
                "             [--model-cache-mb N] [--deadline-ms N]\n"
-               "             [--idle-timeout-ms N] [--poll-backend]\n\n"
+               "             [--idle-timeout-ms N]\n\n"
                "  --dir DIR          directory of .osnt trace files (required)\n"
                "  --host H           bind address (default 127.0.0.1)\n"
                "  --port N           TCP port; 0 = kernel-assigned (default 0)\n"
@@ -42,9 +42,7 @@ int usage() {
                "  --model-cache-mb N decoded-model cache budget in MiB (default 256)\n"
                "  --deadline-ms N    default per-request deadline (default none)\n"
                "  --idle-timeout-ms N  close connections idle this long\n"
-               "                     (default: keep them forever)\n"
-               "  --poll-backend     use the portable poll(2) readiness backend\n"
-               "                     instead of epoll\n");
+               "                     (default: keep them forever)\n");
   return 2;
 }
 
@@ -87,8 +85,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--idle-timeout-ms") {
       options.idle_timeout =
           static_cast<osn::DurNs>(std::atoll(arg_value(argc, argv, i))) * osn::kNsPerMs;
-    } else if (arg == "--poll-backend") {
-      options.use_poll_backend = true;
     } else {
       std::fprintf(stderr, "error: unknown option %s\n", arg.c_str());
       return usage();
@@ -107,9 +103,8 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  std::fprintf(stderr, "osn-served: serving %s on %s:%u (%zu workers, %s backend)\n",
-               options.dir.c_str(), options.host.c_str(), server.port(),
-               options.workers, server.backend());
+  std::fprintf(stderr, "osn-served: serving %s on %s:%u (%zu workers)\n",
+               options.dir.c_str(), options.host.c_str(), server.port(), options.workers);
   if (!port_file.empty()) {
     // The port file is the readiness signal for scripts: written (atomically
     // enough for a <6-byte file) only after listen() succeeded.

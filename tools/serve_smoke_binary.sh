@@ -6,8 +6,8 @@
 # served document is byte-compared against the JSON wire's answer for the
 # same query, which is itself byte-compared against the offline planner by
 # serve_smoke.sh: the two smokes together pin all three paths to one output.
-# Also exercises the non-default readiness backend (--poll-backend) and an
-# idle timeout, so the portable poll(2) loop sees end-to-end traffic in CI.
+# Also runs with an idle timeout, and checks that the metrics document names
+# the epoll readiness loop.
 #
 # Usage: serve_smoke_binary.sh <osn-analyze> <osn-served> <workdir>
 set -eu
@@ -22,7 +22,7 @@ rm -f "$WORK/catalog/ftq.osnt" "$WORK/port"
 "$ANALYZE" run ftq --seconds 1 --seed 7 -o "$WORK/catalog/ftq.osnt" > /dev/null 2>&1
 
 "$SERVED" --dir "$WORK/catalog" --port 0 --port-file "$WORK/port" --workers 2 \
-  --poll-backend --idle-timeout-ms 30000 &
+  --idle-timeout-ms 30000 &
 SERVED_PID=$!
 trap 'kill "$SERVED_PID" 2>/dev/null || true' EXIT
 
@@ -56,8 +56,8 @@ grep -q '"requests_json": [1-9]' "$WORK/metrics.out" || {
   echo "FAIL: metrics missing json wire requests" >&2; exit 1; }
 grep -q '"requests_osnb": [1-9]' "$WORK/metrics.out" || {
   echo "FAIL: metrics missing osnb wire requests" >&2; exit 1; }
-grep -q '"backend": "poll"' "$WORK/metrics.out" || {
-  echo "FAIL: daemon is not on the requested poll backend" >&2; exit 1; }
+grep -q '"backend": "epoll"' "$WORK/metrics.out" || {
+  echo "FAIL: metrics do not name the epoll backend" >&2; exit 1; }
 
 kill -TERM "$SERVED_PID"
 trap - EXIT
